@@ -3,8 +3,8 @@
  * Fleet planner: a capacity-planning exercise combining the library's
  * extensions. Given a monthly training demand (a job mix with
  * submission rates), compare fleet designs — few big NVLink boxes vs
- * many PCIe boxes vs a multi-node cluster — on three axes: queue
- * latency (online scheduling), energy, and total GPU-hours.
+ * many PCIe boxes vs a multi-host DSS 8440 pod — on three axes:
+ * queue latency (online scheduling), energy, and total GPU-hours.
  */
 
 #include <cstdio>
@@ -13,10 +13,9 @@
 #include "core/suite.h"
 #include "models/zoo.h"
 #include "sched/online.h"
-#include "sys/cluster.h"
 #include "sys/machines.h"
 #include "train/energy.h"
-#include "train/multinode.h"
+#include "train/trainer.h"
 
 namespace {
 
@@ -86,15 +85,19 @@ main()
     evaluateMachine(sys::c4140B(), mix);
     evaluateMachine(sys::t640(), mix);
 
-    std::printf("\n-- scale-out design: 4x DSS 8440 on InfiniBand, "
-                "big jobs spanning nodes --\n");
-    sys::ClusterConfig cluster =
-        sys::dss8440Cluster(4, sys::infinibandEdr());
+    std::printf("\n-- scale-out design: a 2x2 DSS 8440 pod, big jobs "
+                "spanning hosts --\n");
+    sys::SystemConfig pod = sys::withPod(sys::dss8440(), 2, 2);
+    train::Trainer trainer(pod);
+    const int per_host = sys::dss8440().num_gpus;
     for (const auto &name : mix) {
         auto spec = *models::findWorkload(name);
-        auto one = train::runMultiNode(cluster, spec, 1);
-        auto four = train::runMultiNode(cluster, spec, 4);
-        std::printf("  %-15s 1 node %8.1f min -> 4 nodes %8.1f min "
+        train::RunOptions opts;
+        opts.num_gpus = per_host;
+        auto one = trainer.run(spec, opts);
+        opts.num_gpus = pod.num_gpus;
+        auto four = trainer.run(spec, opts);
+        std::printf("  %-15s 1 host %8.1f min -> 4 hosts %8.1f min "
                     "(%.2fx)\n", name.c_str(), one.totalMinutes(),
                     four.totalMinutes(),
                     one.total_seconds / four.total_seconds);

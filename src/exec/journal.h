@@ -93,8 +93,11 @@ class Journal
      * v3: system fingerprints mix the link fabric tier, so journals
      * written before hierarchical fabrics existed cannot alias runs
      * on pods that differ only in tier layout.
+     * v4: a run on part of a pod sizes its host pool from the hosts
+     * it occupies, so cached partial-pod results from v3 are stale
+     * under an unchanged fingerprint.
      */
-    static constexpr std::uint32_t kVersion = 3;
+    static constexpr std::uint32_t kVersion = 4;
 
     /**
      * Open (creating the directory and an empty journal if needed)

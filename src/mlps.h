@@ -30,7 +30,6 @@
 #include "net/transfer.h"
 
 // Machines
-#include "sys/cluster.h"
 #include "sys/machines.h"
 #include "sys/system_config.h"
 
@@ -48,7 +47,6 @@
 
 // Training engine
 #include "train/energy.h"
-#include "train/multinode.h"
 #include "train/pipeline.h"
 #include "train/precision_policy.h"
 #include "train/trainer.h"

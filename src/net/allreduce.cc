@@ -205,61 +205,6 @@ ringAllReduce(const Topology &topo, const std::vector<NodeId> &gpus,
     return res;
 }
 
-AllReduceResult
-treeAllReduce(const Topology &topo, const std::vector<NodeId> &gpus,
-              double bytes, const AllReduceParams &params)
-{
-    AllReduceResult res;
-    if (gpus.empty())
-        sim::fatal("treeAllReduce: empty GPU set");
-    for (NodeId g : gpus) {
-        if (topo.kind(g) != NodeKind::Gpu)
-            sim::fatal("treeAllReduce: node %d is not a GPU", g);
-    }
-    int n = static_cast<int>(gpus.size());
-    res.fabric = topo.collectiveFabric(gpus);
-    if (n == 1 || bytes <= 0.0)
-        return res;
-
-    bool staged = res.fabric == CollectiveFabric::HostStaged;
-    double derate = staged ? params.staged_bw_derate : 1.0;
-    double per_round_lat_us =
-        staged ? params.staged_step_overhead_us : params.step_overhead_us;
-    int buckets = std::max(params.buckets, 1);
-
-    // Reduce phase: in round r, nodes at odd multiples of 2^r send
-    // their full partial sum to the even partner. Broadcast mirrors
-    // it. Simulate each distinct round's flow set; total time doubles
-    // for the mirror phase.
-    double reduce_s = 0.0;
-    int rounds = 0;
-    for (int stride = 1; stride < n; stride *= 2, ++rounds) {
-        FlowSimulator fsim(topo);
-        bool any = false;
-        for (int i = 0; i + stride < n; i += 2 * stride) {
-            fsim.addFlow(gpus[i + stride], gpus[i], bytes);
-            any = true;
-        }
-        if (any)
-            reduce_s += fsim.run() / derate;
-        accountBytes(&res, fsim, 2.0);
-    }
-    res.seconds = 2.0 * reduce_s +
-                  static_cast<double>(buckets) * 2.0 * rounds *
-                      per_round_lat_us * 1e-6;
-    res.seconds *= std::max(params.slowest_participant_scale, 1.0);
-    return res;
-}
-
-AllReduceResult
-autoAllReduce(const Topology &topo, const std::vector<NodeId> &gpus,
-              double bytes, const AllReduceParams &params)
-{
-    AllReduceResult ring = ringAllReduce(topo, gpus, bytes, params);
-    AllReduceResult tree = treeAllReduce(topo, gpus, bytes, params);
-    return ring.seconds <= tree.seconds ? ring : tree;
-}
-
 bool
 FabricShape::uniform() const
 {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/trace_json.h"
+#include "sim/json.h"
 
 namespace mlps::obs {
 
@@ -12,7 +13,7 @@ namespace {
 std::string
 quoted(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    return "\"" + sim::jsonEscape(s) + "\"";
 }
 
 std::string

@@ -4,52 +4,19 @@
 #include <cstdio>
 #include <cstring>
 
-namespace mlps::obs {
+#include "sim/json.h"
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
+namespace mlps::obs {
 
 void
 appendTraceEvent(std::ostream &os, const std::string &name,
                  const std::string &track, const char *cat,
                  double ts_us, double dur_us, int pid)
 {
-    os << "{\"name\": \"" << jsonEscape(name) << "\", \"cat\": \""
+    os << "{\"name\": \"" << sim::jsonEscape(name) << "\", \"cat\": \""
        << cat << "\", \"ph\": \"X\", \"ts\": " << ts_us
        << ", \"dur\": " << dur_us << ", \"pid\": " << pid
-       << ", \"tid\": \"" << jsonEscape(track) << "\"}";
+       << ", \"tid\": \"" << sim::jsonEscape(track) << "\"}";
 }
 
 void
@@ -57,7 +24,7 @@ appendTraceEventTid(std::ostream &os, const std::string &name,
                     const char *cat, double ts_us, double dur_us,
                     int pid, int tid)
 {
-    os << "{\"name\": \"" << jsonEscape(name) << "\", \"cat\": \""
+    os << "{\"name\": \"" << sim::jsonEscape(name) << "\", \"cat\": \""
        << cat << "\", \"ph\": \"X\", \"ts\": " << ts_us
        << ", \"dur\": " << dur_us << ", \"pid\": " << pid
        << ", \"tid\": " << tid << "}";
@@ -68,7 +35,7 @@ appendProcessNameEvent(std::ostream &os, int pid,
                        const std::string &name)
 {
     os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << pid
-       << ", \"args\": {\"name\": \"" << jsonEscape(name) << "\"}}";
+       << ", \"args\": {\"name\": \"" << sim::jsonEscape(name) << "\"}}";
 }
 
 void
@@ -77,7 +44,7 @@ appendThreadNameEvent(std::ostream &os, int pid, int tid,
 {
     os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " << pid
        << ", \"tid\": " << tid << ", \"args\": {\"name\": \""
-       << jsonEscape(name) << "\"}}";
+       << sim::jsonEscape(name) << "\"}}";
 }
 
 void

@@ -2,12 +2,12 @@
  * @file
  * Shared Chrome-trace JSON emitter.
  *
- * One escaper and one complete-event serializer feed both trace
- * exports in the tree: the *modeled* timeline (prof::TraceBuilder —
- * what the simulated run did) and the *harness* self-trace
- * (obs::SelfTracer — what the simulator process did). Keeping them on
- * a single code path means an escaping fix, or a viewer-compatibility
- * tweak, can never drift between the two.
+ * One complete-event serializer (escaping through sim::jsonEscape)
+ * feeds both trace exports in the tree: the *modeled* timeline
+ * (prof::TraceBuilder — what the simulated run did) and the *harness*
+ * self-trace (obs::SelfTracer — what the simulator process did).
+ * Keeping them on a single code path means an escaping fix, or a
+ * viewer-compatibility tweak, can never drift between the two.
  *
  * Also hosts a dependency-free JSON well-formedness checker used by
  * tests and `manifest_check` to validate emitted artifacts without an
@@ -21,14 +21,6 @@
 #include <string>
 
 namespace mlps::obs {
-
-/**
- * Escape a byte string for embedding in a JSON string literal:
- * quotes and backslashes get a backslash, control bytes below 0x20
- * become \n, \t, \r or \u00XX. Non-ASCII bytes pass through verbatim
- * (the emitters write UTF-8).
- */
-std::string jsonEscape(const std::string &s);
 
 /**
  * Append one Chrome complete ("X") trace event object, no trailing

@@ -319,6 +319,8 @@ jsonEscape(const std::string &s)
             out += "\\n";
         } else if (c == '\t') {
             out += "\\t";
+        } else if (c == '\r') {
+            out += "\\r";
         } else if (c < 0x20) {
             char buf[8];
             std::snprintf(buf, sizeof(buf), "\\u%04x", c);

@@ -78,7 +78,13 @@ struct JsonValue {
     bool isNull() const { return kind == Kind::Null; }
 };
 
-/** JSON string escaping (quotes not included). */
+/**
+ * Escape a byte string for embedding in a JSON string literal (quotes
+ * not included): quotes and backslashes get a backslash, control
+ * bytes below 0x20 become \n, \t, \r or \u00XX. Non-ASCII bytes pass
+ * through verbatim (every emitter writes UTF-8). The one escaper of
+ * the tree: serve, traces, manifests, logs and exports all use it.
+ */
 std::string jsonEscape(const std::string &s);
 
 /** Shortest round-trip rendering of a double (%.17g, bit-exact). */

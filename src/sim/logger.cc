@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "sim/json.h"
+
 namespace mlps::sim {
 
 namespace {
@@ -43,30 +45,6 @@ monotonicUs()
     return std::chrono::duration<double, std::micro>(clock::now() -
                                                      epoch)
         .count();
-}
-
-std::string
-jsonEscapeLog(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += static_cast<char>(c);
-        } else if (c == '\n') {
-            out += "\\n";
-        } else if (c == '\t') {
-            out += "\\t";
-        } else if (c < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out += static_cast<char>(c);
-        }
-    }
-    return out;
 }
 
 bool
@@ -130,8 +108,8 @@ fieldsJson(const std::string &msg)
             ++v;
         if (!out.empty())
             out += ", ";
-        out += "\"" + jsonEscapeLog(msg.substr(i, k - i)) + "\": \"" +
-               jsonEscapeLog(msg.substr(k + 1, v - k - 1)) + "\"";
+        out += "\"" + jsonEscape(msg.substr(i, k - i)) + "\": \"" +
+               jsonEscape(msg.substr(k + 1, v - k - 1)) + "\"";
         i = v + 1;
     }
     return out;
@@ -150,8 +128,8 @@ emitStructured(const char *level, const std::string &text)
                  "{\"ts_us\": %.1f, \"level\": \"%s\", "
                  "\"component\": \"%s\", \"msg\": \"%s\"",
                  monotonicUs(), level,
-                 jsonEscapeLog(component).c_str(),
-                 jsonEscapeLog(msg).c_str());
+                 jsonEscape(component).c_str(),
+                 jsonEscape(msg).c_str());
     if (!fields.empty())
         std::fprintf(g_structured, ", \"fields\": {%s}",
                      fields.c_str());

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logger.h"
+#include "train/trainer.h"
 
 namespace mlps::train {
 
@@ -29,7 +30,12 @@ estimateEnergy(const sys::SystemConfig &system,
 
     double cpu_util =
         std::clamp(result.usage.cpu_util_pct / 100.0, 0.0, 1.0);
-    double cpu_watts = system.num_cpus * system.cpu.powerWatts(cpu_util);
+    // cpu_util covers the hosts the run occupies; the sockets of idle
+    // pod hosts draw idle power.
+    double busy_cpus = system.num_cpus * hostShare(system, result.num_gpus);
+    double cpu_watts = busy_cpus * system.cpu.powerWatts(cpu_util) +
+                       (system.num_cpus - busy_cpus) *
+                           system.cpu.idle_watts;
 
     EnergyReport rep;
     rep.gpu_kwh = gpu_watts * hours / 1000.0;

@@ -51,6 +51,17 @@ overlapFabricFactor(net::CollectiveFabric fabric,
 }
 
 double
+hostShare(const sys::SystemConfig &system, int num_gpus)
+{
+    std::size_t used =
+        net::fabricShape(system.topo, system.gpuSubset(num_gpus))
+            .node_groups.size();
+    std::size_t present =
+        net::fabricShape(system.topo, system.gpu_nodes).node_groups.size();
+    return static_cast<double>(used) / static_cast<double>(present);
+}
+
+double
 gradientBytes(const wl::WorkloadSpec &spec, hw::Precision precision)
 {
     double params = spec.graph.totals().param_bytes / 4.0;
@@ -322,8 +333,9 @@ Trainer::runTraining(const wl::WorkloadSpec &spec, const RunOptions &opts,
 
     // --- Host pipeline and input staging ---
     double global_samples = res.global_batch;
-    double usable_cores = system_.hostCoreGhz() / system_.cpu.base_ghz *
-                          kHostPoolEfficiency;
+    double host_share = hostShare(system_, n);
+    double usable_cores = system_.hostCoreGhz() * host_share /
+                          system_.cpu.base_ghz * kHostPoolEfficiency;
     double parallel_host_s = global_samples *
                              spec.host.cpu_core_us_per_sample * 1e-6 /
                              usable_cores;
@@ -356,7 +368,7 @@ Trainer::runTraining(const wl::WorkloadSpec &spec, const RunOptions &opts,
                          (spec.host.cpu_core_us_per_sample +
                           spec.host.serial_cpu_us_per_sample) * 1e-6;
     double total_cores = static_cast<double>(system_.num_cpus) *
-                         system_.cpu.cores;
+                         host_share * system_.cpu.cores;
     u.cpu_util_pct = 100.0 *
         (host_core_s / it.iteration_s + kDriverCoresPerGpu * n) /
         total_cores + spec.host.os_baseline_cpu_pct;
@@ -431,6 +443,7 @@ Trainer::runKernelLoop(const wl::WorkloadSpec &spec,
 
     ResourceUsage &u = res.usage;
     double total_cores = static_cast<double>(system_.num_cpus) *
+                         hostShare(system_, opts.num_gpus) *
                          system_.cpu.cores;
     u.cpu_util_pct = 100.0 * kDriverCoresPerGpu / total_cores +
                      spec.host.os_baseline_cpu_pct +
@@ -501,7 +514,7 @@ Trainer::runCollectiveLoop(const wl::WorkloadSpec &spec,
 
     ResourceUsage &u = res.usage;
     double total_cores = static_cast<double>(system_.num_cpus) *
-                         system_.cpu.cores;
+                         hostShare(system_, n) * system_.cpu.cores;
     u.cpu_util_pct = 100.0 * kDriverCoresPerGpu * n / total_cores +
                      spec.host.os_baseline_cpu_pct;
     u.gpu_util_pct_sum = 100.0 * n *

@@ -103,6 +103,14 @@ class Trainer
 double overlapFabricFactor(net::CollectiveFabric fabric,
                            const wl::WorkloadSpec &spec);
 
+/**
+ * Share of the system's hosts that hold the first num_gpus GPUs
+ * (hosts in use / hosts present, by net::fabricShape node groups). A
+ * run on part of a pod gets the CPUs of the hosts it occupies, not
+ * those of idle hosts. Exactly 1.0 on every single box.
+ */
+double hostShare(const sys::SystemConfig &system, int num_gpus);
+
 /** Gradient payload one replica contributes to the all-reduce, bytes. */
 double gradientBytes(const wl::WorkloadSpec &spec,
                      hw::Precision precision);

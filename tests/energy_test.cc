@@ -103,6 +103,23 @@ TEST_F(EnergyTest, IdleGpusBilledWhenRequested)
                 expected_gap * 1e-6);
 }
 
+TEST_F(EnergyTest, IdlePodHostsDrawIdleCpuPower)
+{
+    // One busy host of a two-host pod: its sockets burn what the box
+    // run burns, the idle host's sockets draw idle power.
+    auto r = run("MLPf_Res50_TF", 8);
+    sys::SystemConfig pod = sys::withPod(dss_, 1, 2);
+    train::RunOptions opts;
+    opts.num_gpus = 8;
+    auto rp = train::Trainer(pod).run(
+        *models::findWorkload("MLPf_Res50_TF"), opts);
+    double box_cpu = train::estimateEnergy(dss_, r).cpu_kwh;
+    double pod_cpu = train::estimateEnergy(pod, rp).cpu_kwh;
+    double idle_host = dss_.num_cpus * dss_.cpu.idle_watts *
+                       r.total_seconds / 3600.0 / 1000.0;
+    EXPECT_NEAR(pod_cpu - box_cpu, idle_host, idle_host * 1e-9);
+}
+
 TEST_F(EnergyTest, MoreGpusCanCostMoreEnergyWhenScalingIsPoor)
 {
     // NCF barely speeds up past 2 GPUs, so 8 GPUs burn more kWh.

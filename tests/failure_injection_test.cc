@@ -2,7 +2,7 @@
  * @file
  * Failure/degradation injection: what happens to training when parts
  * of the machine get worse — NVLink loss, narrow PCIe, a weak host,
- * slower HBM, a slow NIC. Each scenario asserts the direction and
+ * slower HBM, a slow pod spine. Each scenario asserts the direction and
  * rough magnitude of the impact, guarding the model's causal
  * structure (the thing the paper's conclusions rest on).
  */
@@ -11,9 +11,7 @@
 
 #include "models/zoo.h"
 #include "net/link.h"
-#include "sys/cluster.h"
 #include "sys/machines.h"
-#include "train/multinode.h"
 #include "train/trainer.h"
 
 namespace {
@@ -128,21 +126,27 @@ TEST(FailureInjection, SlowHbmHurtsMemoryBoundWorkloads)
     EXPECT_LT(slow_r / fast_r, slow / fast);
 }
 
-TEST(FailureInjection, DegradedNicCripplesMultiNodeScaling)
+TEST(FailureInjection, DegradedSpineSlowsMultiRackPod)
 {
-    auto spec = *models::findWorkload("MLPf_XFMR_Py");
-    sys::NicSpec broken = sys::ethernet25();
-    broken.gbps /= 4.0; // link negotiated down
-    sys::ClusterConfig bad = sys::dss8440Cluster(4, broken);
-    sys::ClusterConfig good =
-        sys::dss8440Cluster(4, sys::infinibandEdr());
-    double t_bad = train::runMultiNode(bad, spec, 4).total_seconds;
-    double t_good = train::runMultiNode(good, spec, 4).total_seconds;
-    EXPECT_GT(t_bad, 2.0 * t_good);
-    // A 4-node run on the broken fabric can be slower than a single
-    // node: scaling out becomes counterproductive.
-    double t_single = train::runMultiNode(bad, spec, 1).total_seconds;
-    EXPECT_GT(t_bad, 0.5 * t_single);
+    // Four DSS 8440 hosts over two racks: every all-reduce crosses
+    // the spine, so the Transformer slows strictly as it degrades.
+    // Measured: 53.1 min healthy, 73.0 at x0.5, 112.9 at x0.25 and
+    // 432.0 at x0.05, against 123.8 min on one host.
+    sys::SystemConfig pod = sys::withPod(sys::dss8440(), 2, 2);
+    double t_good = trainMinutes(pod, "MLPf_XFMR_Py", 32);
+    double t_half = trainMinutes(sys::withSpineDegraded(pod, 0.5),
+                                 "MLPf_XFMR_Py", 32);
+    double t_bad = trainMinutes(sys::withSpineDegraded(pod, 0.25),
+                                "MLPf_XFMR_Py", 32);
+    EXPECT_GT(t_half, 1.2 * t_good);
+    EXPECT_GT(t_bad, 1.8 * t_good);
+    EXPECT_GT(t_bad, 1.3 * t_half);
+    // On a badly oversubscribed spine, four hosts are slower than
+    // one: scaling out becomes counterproductive.
+    double t_broken = trainMinutes(sys::withSpineDegraded(pod, 0.05),
+                                   "MLPf_XFMR_Py", 32);
+    double t_single = trainMinutes(pod, "MLPf_XFMR_Py", 8);
+    EXPECT_GT(t_broken, 2.0 * t_single);
 }
 
 TEST(FailureInjection, ImpactRanksByCommunicationIntensity)

@@ -3,7 +3,7 @@
  * Randomized property tests for the interconnect layer: routing
  * invariants on random connected topologies, flow-simulator byte
  * conservation and rate bounds, and all-reduce consistency across
- * algorithms.
+ * the hierarchical algorithms on random multi-rack pods.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cmath>
 
 #include "net/allreduce.h"
+#include "net/fabric.h"
 #include "net/topology.h"
 #include "net/transfer.h"
 #include "sim/logger.h"
@@ -184,21 +185,66 @@ TEST_P(RandomTopologyTest, FlowsFinishAndRespectLinkRates)
     }
 }
 
+/** Random multi-rack pod whose hosts are copies of one random box. */
+PodTopology
+randomPod(mlps::sim::Rng &rng)
+{
+    PodShape shape;
+    shape.racks = 2 + static_cast<int>(rng.below(3));
+    shape.nodes_per_rack = 1 + static_cast<int>(rng.below(2));
+    shape.spines = 1 + static_cast<int>(rng.below(2));
+    int cpus = 1 + static_cast<int>(rng.below(2));
+    int gpus = 1 + static_cast<int>(rng.below(4));
+    bool with_nvlink = rng.chance(0.5);
+    LeafBuilder leaf = [=](Topology &topo, const std::string &prefix) {
+        LeafNodes nodes;
+        for (int i = 0; i < cpus; ++i) {
+            nodes.cpus.push_back(
+                topo.addCpu(prefix + "CPU" + std::to_string(i)));
+            if (i > 0)
+                topo.connect(nodes.cpus[i - 1], nodes.cpus[i], upi());
+        }
+        for (int g = 0; g < gpus; ++g) {
+            nodes.gpus.push_back(
+                topo.addGpu(prefix + "GPU" + std::to_string(g)));
+            topo.connect(nodes.cpus[g % cpus], nodes.gpus[g], pcie3(16));
+            if (with_nvlink && g > 0)
+                topo.connect(nodes.gpus[g - 1], nodes.gpus[g], nvlink(2));
+        }
+        return nodes;
+    };
+    return buildPodTopology(shape, leaf);
+}
+
 TEST_P(RandomTopologyTest, AllReduceAlgorithmsAgreeOnFabric)
 {
     mlps::sim::Rng rng(5000 + GetParam());
-    int gpus = 0;
-    Topology topo = randomTopology(rng, gpus);
-    auto gpu_nodes = topo.gpus();
+    PodTopology pod = randomPod(rng);
     double bytes = rng.uniform(1e6, 3e8);
-    auto ring = ringAllReduce(topo, gpu_nodes, bytes);
-    auto tree = treeAllReduce(topo, gpu_nodes, bytes);
+    AllReduceParams params;
+    params.buckets = 1 + static_cast<int>(rng.below(100));
+    auto ring =
+        hierarchicalRingAllReduce(pod.topo, pod.gpus, bytes, params);
+    auto tree =
+        hierarchicalTreeAllReduce(pod.topo, pod.gpus, bytes, params);
     EXPECT_EQ(ring.fabric, tree.fabric);
     EXPECT_GT(ring.seconds, 0.0);
     EXPECT_GT(tree.seconds, 0.0);
-    auto chosen = autoAllReduce(topo, gpu_nodes, bytes);
-    EXPECT_LE(chosen.seconds,
-              std::min(ring.seconds, tree.seconds) + 1e-12);
+    auto chosen =
+        autoHierarchicalAllReduce(pod.topo, pod.gpus, bytes, params);
+    EXPECT_EQ(chosen.seconds, std::min(ring.seconds, tree.seconds));
+    // Both algorithms conserve bytes: per-tier and per-kind totals
+    // are two partitions of the same traffic.
+    for (const AllReduceResult &r : {ring, tree}) {
+        double kinds =
+            r.nvlink_bytes + r.pcie_bytes + r.upi_bytes + r.eth_bytes;
+        double tiers = 0.0;
+        for (int t = 0; t < kNumFabricTiers; ++t)
+            tiers += r.tier_bytes[t];
+        EXPECT_NEAR(kinds, tiers, 1e-9 * kinds);
+        EXPECT_GT(r.tier_bytes[static_cast<int>(FabricTier::CrossRack)],
+                  0.0);
+    }
 }
 
 TEST_P(RandomTopologyTest, AllReduceScalesWithPayload)

@@ -21,6 +21,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace_json.h"
 #include "sim/counters.h"
+#include "sim/json.h"
 #include "sim/logger.h"
 #include "sys/machines.h"
 
@@ -42,12 +43,12 @@ slurp(const std::string &path)
 
 TEST(TraceJson, EscapesSpecials)
 {
-    EXPECT_EQ(obs::jsonEscape("plain"), "plain");
-    EXPECT_EQ(obs::jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(obs::jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(obs::jsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-    EXPECT_EQ(obs::jsonEscape(std::string("x\x01y")), "x\\u0001y");
-    EXPECT_EQ(obs::jsonEscape("héllo"), "héllo"); // UTF-8 verbatim
+    EXPECT_EQ(sim::jsonEscape("plain"), "plain");
+    EXPECT_EQ(sim::jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(sim::jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(sim::jsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+    EXPECT_EQ(sim::jsonEscape(std::string("x\x01y")), "x\\u0001y");
+    EXPECT_EQ(sim::jsonEscape("héllo"), "héllo"); // UTF-8 verbatim
 }
 
 TEST(TraceJson, EventFormatIsStable)

@@ -2,9 +2,11 @@
  * @file
  * Hierarchical datacenter fabric tests: pod composition and
  * validation, hierarchical collectives (per-tier byte conservation,
- * exact degenerate delegation, emergent degradation ordering), the
- * pod-scale fault classes, the pod spec grammar shared by the CLI
- * and serve, request-fingerprint coverage of the hierarchy, and a
+ * exact degenerate delegation, emergent degradation ordering, the
+ * 2D ring versus the cross-rack tree), the pod-scale fault classes,
+ * the pod spec grammar shared by the CLI and serve, request-
+ * fingerprint coverage of the hierarchy, trainer-level scale-out
+ * across pod hosts (pods are the one multi-node model), and a
  * 128-GPU link-state mutation stress with seeded-replay determinism.
  */
 
@@ -17,6 +19,7 @@
 
 #include "exec/fingerprint.h"
 #include "fault/link_fault.h"
+#include "models/zoo.h"
 #include "net/allreduce.h"
 #include "net/fabric.h"
 #include "net/topology.h"
@@ -25,6 +28,7 @@
 #include "sim/logger.h"
 #include "sim/rng.h"
 #include "sys/machines.h"
+#include "train/trainer.h"
 
 namespace {
 
@@ -181,6 +185,164 @@ TEST(HierarchicalAllReduce, DegradationOrderingIsEmergent)
     EXPECT_LE(t_h, t_t);
     EXPECT_LE(t_t, t_s);
     EXPECT_LT(t_h, t_s);
+}
+
+// ------------------------------ 2D ring versus cross-rack tree
+
+/** Four racks of two C4140 (M) hosts: 32 GPUs, a real spine tier. */
+sys::SystemConfig
+multiRackPod()
+{
+    return sys::withPod(sys::c4140M(), 4, 2);
+}
+
+TEST(TreeAllReduce, TrivialCases)
+{
+    sys::SystemConfig pod = multiRackPod();
+    EXPECT_DOUBLE_EQ(net::hierarchicalTreeAllReduce(
+                         pod.topo, {pod.gpu_nodes[0]}, 1e8)
+                         .seconds,
+                     0.0);
+    EXPECT_DOUBLE_EQ(
+        net::hierarchicalTreeAllReduce(pod.topo, pod.gpu_nodes, 0.0)
+            .seconds,
+        0.0);
+    EXPECT_DOUBLE_EQ(
+        net::hierarchicalRingAllReduce(pod.topo, pod.gpu_nodes, 0.0)
+            .seconds,
+        0.0);
+}
+
+TEST(TreeAllReduce, MonotoneInBytes)
+{
+    sys::SystemConfig pod = multiRackPod();
+    EXPECT_LT(
+        net::hierarchicalTreeAllReduce(pod.topo, pod.gpu_nodes, 1e8)
+            .seconds,
+        net::hierarchicalTreeAllReduce(pod.topo, pod.gpu_nodes, 2e8)
+            .seconds);
+    EXPECT_LT(
+        net::hierarchicalRingAllReduce(pod.topo, pod.gpu_nodes, 1e8)
+            .seconds,
+        net::hierarchicalRingAllReduce(pod.topo, pod.gpu_nodes, 2e8)
+            .seconds);
+}
+
+TEST(TreeAllReduce, RingWinsForLargePayloads)
+{
+    // The 2D ring is bandwidth-optimal across racks; the tree moves
+    // each shard whole in every one of its 2*log2(R) rounds.
+    sys::SystemConfig pod = multiRackPod();
+    double bytes = 500e6;
+    double ring =
+        net::hierarchicalRingAllReduce(pod.topo, pod.gpu_nodes, bytes)
+            .seconds;
+    double tree =
+        net::hierarchicalTreeAllReduce(pod.topo, pod.gpu_nodes, bytes)
+            .seconds;
+    EXPECT_LT(ring, tree);
+}
+
+TEST(TreeAllReduce, TreeWinsForTinyBucketedPayloads)
+{
+    // With many buckets the 2D ring pays 2*(M-1) cross-node latencies
+    // per bucket, the tree only 2*log2(R) across racks.
+    sys::SystemConfig pod = multiRackPod();
+    net::AllReduceParams params;
+    params.buckets = 200;
+    double bytes = 1e5;
+    double ring = net::hierarchicalRingAllReduce(pod.topo,
+                                                 pod.gpu_nodes, bytes,
+                                                 params)
+                      .seconds;
+    double tree = net::hierarchicalTreeAllReduce(pod.topo,
+                                                 pod.gpu_nodes, bytes,
+                                                 params)
+                      .seconds;
+    EXPECT_LT(tree, ring);
+}
+
+TEST(TreeAllReduce, AutoPicksTheWinner)
+{
+    sys::SystemConfig pod = multiRackPod();
+    for (double bytes : {1e4, 1e6, 1e8, 1e9}) {
+        net::AllReduceParams params;
+        params.buckets = 50;
+        double ring = net::hierarchicalRingAllReduce(
+                          pod.topo, pod.gpu_nodes, bytes, params)
+                          .seconds;
+        double tree = net::hierarchicalTreeAllReduce(
+                          pod.topo, pod.gpu_nodes, bytes, params)
+                          .seconds;
+        double chosen = net::autoHierarchicalAllReduce(
+                            pod.topo, pod.gpu_nodes, bytes, params)
+                            .seconds;
+        EXPECT_DOUBLE_EQ(chosen, std::min(ring, tree)) << bytes;
+    }
+}
+
+TEST(TreeAllReduce, AccountsTraffic)
+{
+    // Only the rack-leader tree crosses the spine: R-1 leader pairs
+    // each move the whole payload (L shards of bytes/L) over two
+    // cross-rack links (ToR->spine->ToR), doubled for the broadcast.
+    sys::SystemConfig pod = multiRackPod();
+    const double bytes = 1e8;
+    const int racks = 4;
+    auto r =
+        net::hierarchicalTreeAllReduce(pod.topo, pod.gpu_nodes, bytes);
+    const int cross = static_cast<int>(net::FabricTier::CrossRack);
+    const int rack = static_cast<int>(net::FabricTier::IntraRack);
+    EXPECT_NEAR(r.tier_bytes[cross], 4.0 * (racks - 1) * bytes,
+                1e-6 * bytes);
+    EXPECT_GT(r.tier_bytes[rack], 0.0);
+    EXPECT_GT(r.nvlink_bytes, 0.0);
+}
+
+TEST(TreeAllReduce, NonGpuIsFatal)
+{
+    sys::SystemConfig pod = multiRackPod();
+    std::vector<net::NodeId> cpu = {pod.cpu_nodes[0]};
+    EXPECT_THROW(net::hierarchicalTreeAllReduce(pod.topo, cpu, 1e6),
+                 FatalError);
+    EXPECT_THROW(net::hierarchicalTreeAllReduce(pod.topo, {}, 1e6),
+                 FatalError);
+    EXPECT_THROW(net::hierarchicalRingAllReduce(pod.topo, cpu, 1e6),
+                 FatalError);
+    EXPECT_THROW(net::autoHierarchicalAllReduce(pod.topo, {}, 1e6),
+                 FatalError);
+}
+
+// ------------------------------------------ inter-node collective
+
+TEST(InterNodeRing, SingleNodeIsFree)
+{
+    // One host of a pod: nothing leaves the box.
+    sys::SystemConfig pod = sys::withPod(sys::dss8440(), 1, 4);
+    auto r = net::autoHierarchicalAllReduce(pod.topo, pod.gpuSubset(8),
+                                            1e9);
+    EXPECT_GT(r.seconds, 0.0);
+    EXPECT_DOUBLE_EQ(r.eth_bytes, 0.0);
+    EXPECT_DOUBLE_EQ(
+        r.tier_bytes[static_cast<int>(net::FabricTier::IntraRack)], 0.0);
+    EXPECT_DOUBLE_EQ(
+        r.tier_bytes[static_cast<int>(net::FabricTier::CrossRack)], 0.0);
+}
+
+TEST(InterNodeRing, FasterNicIsFaster)
+{
+    sys::SystemConfig fast = sys::withPod(sys::dss8440(), 1, 4);
+    sys::SystemConfig slow = fast;
+    sys::applyDegradedLinks(slow, "eth:0.25");
+    net::AllReduceParams params;
+    params.buckets = 20;
+    double t_fast = net::hierarchicalRingAllReduce(
+                        fast.topo, fast.gpu_nodes, 4e8, params)
+                        .seconds;
+    double t_slow = net::hierarchicalRingAllReduce(
+                        slow.topo, slow.gpu_nodes, 4e8, params)
+                        .seconds;
+    EXPECT_LT(t_fast, t_slow);
 }
 
 // -------------------------------------------- pod fault classes
@@ -411,6 +573,148 @@ TEST(PodFingerprint, SpineDegradationChangesTheFingerprint)
     EXPECT_NE(exec::fingerprintOf(healthy),
               exec::fingerprintOf(degraded));
 }
+
+// ------------------------------------- scale-out across hosts
+
+TEST(PodHostPool, EveryCatalogBoxIsOneHost)
+{
+    for (const sys::SystemConfig &box : sys::allMachines()) {
+        net::FabricShape shape =
+            net::fabricShape(box.topo, box.gpu_nodes);
+        EXPECT_EQ(shape.node_groups.size(), 1u) << box.name;
+        EXPECT_EQ(train::hostShare(box, box.num_gpus), 1.0) << box.name;
+    }
+}
+
+TEST(PodHostPool, PartialPodCountsOnlyOccupiedHosts)
+{
+    sys::SystemConfig pod = sys::withPod(sys::dss8440(), 2, 2);
+    EXPECT_EQ(train::hostShare(pod, 1), 0.25);
+    EXPECT_EQ(train::hostShare(pod, 8), 0.25);
+    EXPECT_EQ(train::hostShare(pod, 9), 0.5);
+    EXPECT_EQ(train::hostShare(pod, 32), 1.0);
+}
+
+/** Run a catalog workload on the first 'gpus' GPUs of a system. */
+train::TrainResult
+runOn(const sys::SystemConfig &system, const char *workload, int gpus)
+{
+    train::RunOptions opts;
+    opts.num_gpus = gpus;
+    return train::Trainer(system).run(*models::findWorkload(workload),
+                                      opts);
+}
+
+TEST(MultiNode, SingleNodeMatchesTrainerPlusNoInterComm)
+{
+    // One occupied host of a pod is the box, bit for bit: the idle
+    // hosts lend no CPUs to the input pipeline and no bytes leave
+    // the host. Res50_TF is host-gated on DSS 8440, so a pod that
+    // credited idle CPUs would come out faster. The DeepBench kernel
+    // and collective loops pin the same CPU accounting.
+    for (const sys::SystemConfig &box : sys::allMachines()) {
+        for (const char *w : {"MLPf_Res50_TF", "MLPf_SSD_Py",
+                              "Deep_GEMM_Cu", "Deep_Red_Cu"}) {
+            train::TrainResult single = runOn(box, w, box.num_gpus);
+            for (int k : {1, 2, 8}) {
+                sys::SystemConfig pod = sys::withPod(box, 1, k);
+                train::TrainResult r = runOn(pod, w, box.num_gpus);
+                std::string where = pod.name + " / " + w;
+                EXPECT_EQ(r.iter.iteration_s, single.iter.iteration_s)
+                    << where;
+                EXPECT_EQ(r.iter.host_s, single.iter.host_s) << where;
+                EXPECT_EQ(r.iter.comm_s, single.iter.comm_s) << where;
+                EXPECT_EQ(r.total_seconds, single.total_seconds)
+                    << where;
+                EXPECT_EQ(r.usage.cpu_util_pct,
+                          single.usage.cpu_util_pct)
+                    << where;
+            }
+        }
+    }
+}
+
+/** Eight DSS 8440 hosts in two racks. */
+sys::SystemConfig
+dssPod()
+{
+    return sys::withPod(sys::dss8440(), 2, 4);
+}
+
+TEST(MultiNode, ScalableWorkloadKeepsScaling)
+{
+    sys::SystemConfig pod = dssPod();
+    double t1 = runOn(pod, "MLPf_Res50_TF", 8).total_seconds;
+    double t4 = runOn(pod, "MLPf_Res50_TF", 32).total_seconds;
+    EXPECT_GT(t1 / t4, 2.0);
+}
+
+TEST(MultiNode, NcfSaturatesAcrossNodes)
+{
+    sys::SystemConfig pod = dssPod();
+    double t1 = runOn(pod, "MLPf_NCF_Py", 8).total_seconds;
+    double t8 = runOn(pod, "MLPf_NCF_Py", 64).total_seconds;
+    // The batch cap + cross-host all-reduce leave no speedup.
+    EXPECT_GT(t8, 0.75 * t1);
+}
+
+TEST(MultiNode, SlowNicHurtsCommHeavyWorkloads)
+{
+    // Every Ethernet link (NIC uplinks) at a quarter of line rate:
+    // the comm-heavy Transformer loses more than ResNet-50.
+    sys::SystemConfig fast = sys::withPod(sys::dss8440(), 1, 4);
+    sys::SystemConfig slow = fast;
+    sys::applyDegradedLinks(slow, "eth:0.25");
+    double x_fast = runOn(fast, "MLPf_XFMR_Py", 32).total_seconds;
+    double x_slow = runOn(slow, "MLPf_XFMR_Py", 32).total_seconds;
+    EXPECT_GT(x_slow, 1.3 * x_fast);
+    double r_fast = runOn(fast, "MLPf_Res50_TF", 32).total_seconds;
+    double r_slow = runOn(slow, "MLPf_Res50_TF", 32).total_seconds;
+    EXPECT_GT(x_slow / x_fast, r_slow / r_fast);
+}
+
+TEST(MultiNode, GlobalBatchCapDividesAcrossCluster)
+{
+    sys::SystemConfig pod = sys::withPod(sys::dss8440(), 2, 2);
+    auto spec = *models::findWorkload("MLPf_NCF_Py");
+    auto r = runOn(pod, "MLPf_NCF_Py", 32);
+    EXPECT_NEAR(r.global_batch, spec.convergence.global_batch_cap,
+                spec.convergence.global_batch_cap * 0.01);
+    EXPECT_NEAR(r.per_gpu_batch,
+                spec.convergence.global_batch_cap / 32.0, 1.0);
+}
+
+TEST(MultiNode, ErrorsOnMisuse)
+{
+    sys::SystemConfig pod = sys::withPod(sys::dss8440(), 1, 2);
+    EXPECT_THROW(runOn(pod, "MLPf_SSD_Py", 24), FatalError);
+    EXPECT_THROW(runOn(pod, "MLPf_SSD_Py", 0), FatalError);
+    // Pods compose boxes, not pods; spine/ToR prefabs need racks.
+    EXPECT_THROW(sys::withPod(pod, 2, 2), FatalError);
+    EXPECT_THROW(sys::withSpineDegraded(pod, 0.5), FatalError);
+    EXPECT_THROW(sys::withTorDegraded(dssPod(), 5, 0.5), FatalError);
+}
+
+/** Host-count sweep on a DSS 8440 pod. */
+class MultiNodeSweepTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(MultiNodeSweepTest, IterationFiniteAndPositive)
+{
+    sys::SystemConfig pod = dssPod();
+    int hosts = GetParam();
+    auto r = runOn(pod, "MLPf_GNMT_Py", 8 * hosts);
+    EXPECT_GT(r.iter.iteration_s, 0.0);
+    EXPECT_TRUE(std::isfinite(r.total_seconds));
+    EXPECT_EQ(net::fabricShape(pod.topo, pod.gpuSubset(8 * hosts))
+                  .node_groups.size(),
+              static_cast<std::size_t>(hosts));
+    EXPECT_GT(r.iter.comm_s, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Nodes, MultiNodeSweepTest,
+                         ::testing::Values(1, 2, 4, 8));
 
 // ------------------------------------------------ route cache
 

@@ -266,6 +266,36 @@ TEST(ServeProtocol, ErrorAndRejectResponsesCarryDiagnostics)
     EXPECT_DOUBLE_EQ(resp.retry_after_s, 0.75);
 }
 
+TEST(ServeProtocol, CarriageReturnInIdRoundTrips)
+{
+    // The escaper writes CR as \r, so no raw CR reaches the wire
+    // (line framing strips it) and the id decodes back unchanged.
+    const std::string id = "a\rb\r";
+    std::string line = serve::encodePong(id);
+    EXPECT_EQ(line.find('\r'), std::string::npos);
+    EXPECT_NE(line.find("a\\rb\\r"), std::string::npos) << line;
+    serve::Response resp;
+    std::string err;
+    ASSERT_TRUE(serve::decodeResponse(line, &resp, &err)) << err;
+    EXPECT_EQ(resp.type, "pong");
+    EXPECT_EQ(resp.id, id);
+
+    ASSERT_TRUE(serve::decodeResponse(
+        serve::encodeReject(id, "overloaded", "queue\rfull", 0.5),
+        &resp, &err))
+        << err;
+    EXPECT_EQ(resp.id, id);
+    EXPECT_EQ(resp.what, "queue\rfull");
+
+    serve::ParsedRequest req;
+    ASSERT_TRUE(serve::parseRequest(
+        "{\"type\":\"ping\",\"id\":\"" + serve::jsonEscape(id) +
+            "\"}",
+        catalog(), &req, &err))
+        << err;
+    EXPECT_EQ(req.id, id);
+}
+
 // ---- line framing ---------------------------------------------------
 
 TEST(ServeSession, SplitsLinesAcrossFeeds)
