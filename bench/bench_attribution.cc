@@ -7,14 +7,14 @@
  * hot path never calls into obs/attrib. The CI gate relies on the
  * first pair of cases: BM_TrainRun_NoAttribution measures the plain
  * simulation, and must sit within 2% of pre-attribution history —
- * the only trainer change attribution made was routing the gradient
- * all-reduce through the shared train::gradientAllReduce helper,
- * which is the same arithmetic behind a function call. Compare with
+ * the only trainer cost attribution adds is copying the priced
+ * all-reduce's three per-tier byte counts into the result
+ * (IterationBreakdown::comm_tier_bytes). Compare with
  * --benchmark_filter=TrainRun across builds.
  *
  * The armed cases price what explain/report actually pay: one
- * attributeRun per point (re-running only the deterministic
- * all-reduce schedule) plus the JSON rendering.
+ * attributeRun per point (span graph and critical path over the
+ * result, with no collective priced again) plus the JSON rendering.
  */
 
 #include <benchmark/benchmark.h>
@@ -81,10 +81,9 @@ BM_AttributeRun_Box(benchmark::State &state)
 }
 BENCHMARK(BM_AttributeRun_Box)->Unit(benchmark::kMicrosecond);
 
-/** Attribution alone at pod scale. The span graph stays O(tiers),
- *  but recovering the per-tier byte split re-runs the hierarchical
- *  all-reduce schedule over the full 512-GPU topology — the same
- *  cost the trainer itself pays for that point, paid once more. */
+/** Attribution alone at pod scale. The span graph stays O(tiers)
+ *  and the per-tier byte split comes with the result, so a 512-GPU
+ *  point costs about what a box does: nothing scales with GPUs. */
 void
 BM_AttributeRun_Pod512(benchmark::State &state)
 {

@@ -96,8 +96,11 @@ class Journal
      * v4: a run on part of a pod sizes its host pool from the hosts
      * it occupies, so cached partial-pod results from v3 are stale
      * under an unchanged fingerprint.
+     * v5: results carry the all-reduce's per-tier bytes
+     * (IterationBreakdown::comm_tier_bytes), which attribution reads
+     * instead of re-pricing the collective.
      */
-    static constexpr std::uint32_t kVersion = 4;
+    static constexpr std::uint32_t kVersion = 5;
 
     /**
      * Open (creating the directory and an empty journal if needed)

@@ -1,16 +1,38 @@
 #include "net/allreduce.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <numeric>
 #include <unordered_map>
 
 #include "net/transfer.h"
+#include "obs/registry.h"
 #include "sim/logger.h"
 
 namespace mlps::net {
 
 namespace {
+
+// Schedules priced, process-wide (a relaxed atomic: parallel report
+// workers price concurrently). Volatile, like the route-cache gauges:
+// a warm cache or journal prices nothing.
+std::atomic<std::uint64_t> g_schedules{0};
+
+void
+countSchedule()
+{
+    static obs::MetricRegistry::Registration gauge =
+        obs::MetricRegistry::global().registerGauge(
+            "net.allreduce.schedules",
+            [] {
+                return static_cast<double>(
+                    g_schedules.load(std::memory_order_relaxed));
+            },
+            obs::Volatility::Volatile);
+    (void)gauge;
+    g_schedules.fetch_add(1, std::memory_order_relaxed);
+}
 
 /** Accumulate a simulated phase's per-kind/per-tier bytes, scaled by
  *  the number of identical steps the simulation stands for. */
@@ -504,6 +526,7 @@ autoHierarchicalAllReduce(const Topology &topo,
 {
     if (gpus.empty())
         sim::fatal("autoHierarchicalAllReduce: empty GPU set");
+    countSchedule();
     FabricShape shape = fabricShape(topo, gpus);
     // Single host (every Table III box): the flat fault-aware ring,
     // bit for bit.

@@ -7,7 +7,6 @@
 #include "net/topology.h"
 #include "sim/json.h"
 #include "sim/logger.h"
-#include "train/trainer.h"
 
 namespace mlps::obs::attrib {
 
@@ -51,12 +50,13 @@ addSpan(Attribution &a, std::string name, std::string lane,
 
 /**
  * Split the exposed collective time across fabric tiers in proportion
- * to the bytes the all-reduce schedule moved on each tier, and append
- * one chained span per active tier. Returns the id of the last span
- * appended (or `parent` when exposed_s == 0).
+ * to the bytes the trainer's all-reduce schedule moved on each tier
+ * (IterationBreakdown::comm_tier_bytes), and append one chained span
+ * per active tier. Returns the id of the last span appended (or
+ * `parent` when exposed_s == 0).
  */
 int
-addTierCommSpans(Attribution &a, const net::AllReduceResult &ar,
+addTierCommSpans(Attribution &a, const double *tier_bytes,
                  double exposed_s, double start_s, int parent,
                  const char *name_prefix, const std::string &lane,
                  int replicas, double *cursor)
@@ -66,7 +66,7 @@ addTierCommSpans(Attribution &a, const net::AllReduceResult &ar,
         return parent;
     double total_bytes = 0.0;
     for (int t = 0; t < net::kNumFabricTiers; ++t)
-        total_bytes += ar.tier_bytes[t];
+        total_bytes += tier_bytes[t];
     int prev = parent;
     auto chain = [](int p) {
         return p >= 0 ? std::vector<int>{p} : std::vector<int>{};
@@ -84,9 +84,9 @@ addTierCommSpans(Attribution &a, const net::AllReduceResult &ar,
         return prev;
     }
     for (int t = 0; t < net::kNumFabricTiers; ++t) {
-        if (ar.tier_bytes[t] <= 0.0)
+        if (tier_bytes[t] <= 0.0)
             continue;
-        double dur = exposed_s * (ar.tier_bytes[t] / total_bytes);
+        double dur = exposed_s * (tier_bytes[t] / total_bytes);
         prev = addSpan(a,
                        std::string(name_prefix) + " (" +
                            net::toString(
@@ -192,6 +192,13 @@ attributeRun(const sys::SystemConfig &system,
              const train::RunOptions &opts,
              const train::TrainResult &result)
 {
+    // The per-tier split comes from the result, not from `system`:
+    // a result of another run would otherwise be attributed silently.
+    if (result.system != system.name || result.num_gpus != opts.num_gpus)
+        sim::fatal("attrib: result of '%s' on %d GPU(s) does not match "
+                   "the request ('%s' on %d GPU(s))",
+                   result.system.c_str(), result.num_gpus,
+                   system.name.c_str(), opts.num_gpus);
     const train::IterationBreakdown &it = result.iter;
     Attribution a;
     a.workload = result.workload;
@@ -238,10 +245,8 @@ attributeRun(const sys::SystemConfig &system,
         cursor += it.bwd_s * sync;
         if (spec.mode == wl::RunMode::Training) {
             if (n > 1 && it.exposed_comm_s > 0.0) {
-                net::AllReduceResult ar = train::gradientAllReduce(
-                    system, spec, opts.precision, n);
-                prev = addTierCommSpans(a, ar, it.exposed_comm_s,
-                                        cursor, prev,
+                prev = addTierCommSpans(a, it.comm_tier_bytes,
+                                        it.exposed_comm_s, cursor, prev,
                                         "allreduce exposed", gpu_lane,
                                         n, &cursor);
             }
@@ -252,11 +257,9 @@ attributeRun(const sys::SystemConfig &system,
         }
     } else { // CollectiveLoop
         if (n > 1) {
-            net::AllReduceResult ar =
-                train::collectiveLoopAllReduce(system, spec, n);
-            prev = addTierCommSpans(a, ar, it.exposed_comm_s, cursor,
-                                    prev, "allreduce", gpu_lane, n,
-                                    &cursor);
+            prev = addTierCommSpans(a, it.comm_tier_bytes,
+                                    it.exposed_comm_s, cursor, prev,
+                                    "allreduce", gpu_lane, n, &cursor);
         } else {
             prev = addSpan(a, "local reduction kernel", gpu_lane,
                            cursor, it.comm_s, Bucket::ExposedCompute,

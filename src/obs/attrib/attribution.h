@@ -6,8 +6,8 @@
  * per-GPU forward/backward/optimizer compute (data-parallel replicas
  * aggregated into one representative lane so pod-scale graphs stay
  * O(tiers), not O(gpus)), per-fabric-tier exposed collective phases
- * (reusing the net/allreduce tier_bytes accounting via the shared
- * train::gradientAllReduce helper), the software-pipelined host and
+ * (split by the per-tier bytes the trainer's priced all-reduce left in
+ * IterationBreakdown::comm_tier_bytes), the software-pipelined host and
  * H2D input stages, the pipeline bubble the GPU spends waiting on
  * them, and framework / staged-fabric overhead. Parent edges make the
  * graph causal; a longest-path pass extracts the critical path and
@@ -116,10 +116,11 @@ struct Attribution {
 
 /**
  * Attribute one modeled run. Pure and deterministic: derives the span
- * graph from the request inputs plus the trainer's result, re-running
- * only the (deterministic) all-reduce schedule to recover per-tier
- * byte counts. Fatals if the result does not look like the output of
- * Trainer::run on the same inputs (negative durations).
+ * graph from the request inputs plus the trainer's result, including
+ * the per-tier byte split the trainer's all-reduce already priced; no
+ * collective is scheduled again. Fatals if the result does not look
+ * like the output of Trainer::run on the same inputs (another system
+ * name or GPU count, negative durations).
  */
 Attribution attributeRun(const sys::SystemConfig &system,
                          const wl::WorkloadSpec &spec,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "hw/kernel_timing.h"
 #include "net/allreduce.h"
@@ -33,6 +34,18 @@ policyFor(hw::Precision p)
     PrecisionPolicy pol;
     pol.precision = p;
     return pol;
+}
+
+/** The collective-loop all-reduce (RunMode::CollectiveLoop) at
+ *  num_gpus > 1 participants: default schedule over the workload's
+ *  collective payload. */
+net::AllReduceResult
+collectiveLoopAllReduce(const sys::SystemConfig &system,
+                        const wl::WorkloadSpec &spec, int num_gpus)
+{
+    return net::autoHierarchicalAllReduce(system.topo,
+                                          system.gpuSubset(num_gpus),
+                                          spec.collective_bytes);
 }
 
 } // namespace
@@ -82,15 +95,6 @@ gradientAllReduce(const sys::SystemConfig &system,
     return net::autoHierarchicalAllReduce(
         system.topo, system.gpuSubset(num_gpus),
         gradientBytes(spec, precision), ar_params);
-}
-
-net::AllReduceResult
-collectiveLoopAllReduce(const sys::SystemConfig &system,
-                        const wl::WorkloadSpec &spec, int num_gpus)
-{
-    return net::autoHierarchicalAllReduce(system.topo,
-                                          system.gpuSubset(num_gpus),
-                                          spec.collective_bytes);
 }
 
 Trainer::Trainer(const sys::SystemConfig &system) : system_(system)
@@ -320,6 +324,8 @@ Trainer::runTraining(const wl::WorkloadSpec &spec, const RunOptions &opts,
         ar = gradientAllReduce(system_, spec, opts.precision, n);
         it.comm_s = ar.seconds;
         it.reroutes = ar.reroutes;
+        std::copy(std::begin(ar.tier_bytes), std::end(ar.tier_bytes),
+                  it.comm_tier_bytes);
         double overlap =
             spec.comm_overlap * overlapFabricFactor(res.fabric, spec);
         it.exposed_comm_s = ar.seconds * (1.0 - overlap);
@@ -487,6 +493,8 @@ Trainer::runCollectiveLoop(const wl::WorkloadSpec &spec,
         it.comm_s = ar.seconds;
         it.exposed_comm_s = ar.seconds;
         it.reroutes = ar.reroutes;
+        std::copy(std::begin(ar.tier_bytes), std::end(ar.tier_bytes),
+                  it.comm_tier_bytes);
     } else {
         // Single GPU: a local reduction kernel only.
         hw::KernelProfile k;

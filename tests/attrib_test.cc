@@ -14,16 +14,22 @@
  */
 
 #include <cmath>
+#include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
+#include "core/report.h"
 #include "core/suite.h"
 #include "exec/engine.h"
 #include "obs/attrib/attribution.h"
+#include "obs/registry.h"
 #include "obs/trace_json.h"
 #include "sim/logger.h"
 #include "sys/machines.h"
@@ -45,6 +51,20 @@ propertyGrid()
         {sys::c4140M(), {4}},
         {sys::withPod(sys::c4140M(), 16, 8), {8, 64, 512}},
     };
+}
+
+/** Multi-GPU points whose tier split attribution must carry: a
+ *  training run across all three pod tiers and a collective loop. */
+const std::vector<std::pair<std::string, int>> kPodPoints = {
+    {"MLPf_Res50_MX", 512},
+    {"Deep_Red_Cu", 32},
+};
+
+/** All-reduce schedules priced so far in this process. */
+double
+schedulesPriced()
+{
+    return obs::MetricRegistry::global().value("net.allreduce.schedules");
 }
 
 Attribution
@@ -202,28 +222,76 @@ TEST(Attribution, JsonIsValidStableAndCarriesTheSchema)
 }
 
 // The `mlpsim explain` contract: attribution of an engine-evaluated
-// point is byte-identical across worker counts and cache warmth.
+// point is byte-identical across worker counts, cache warmth and a
+// journal replayed by a fresh engine (the journaled result carries
+// the all-reduce's tier bytes).
 TEST(Attribution, ByteIdenticalAcrossEngineJobsAndWarmth)
 {
     sys::SystemConfig pod = sys::withPod(sys::c4140M(), 16, 8);
     core::Suite suite(pod);
-    train::RunOptions opts;
-    opts.num_gpus = 512;
-    exec::RunRequest req = suite.request("MLPf_Res50_MX", opts);
+    for (const auto &[name, gpus] : kPodPoints) {
+        train::RunOptions opts;
+        opts.num_gpus = gpus;
+        exec::RunRequest req = suite.request(name, opts);
 
-    std::vector<std::string> docs;
-    for (int jobs : {1, 4}) {
-        exec::Engine engine{exec::ExecOptions(jobs)};
-        exec::RunResult cold = engine.runOne(req);
-        exec::RunResult warm = engine.runOne(req); // cache hit
-        EXPECT_TRUE(warm.cache_hit);
+        std::vector<std::string> docs;
+        for (int jobs : {1, 4}) {
+            exec::Engine engine{exec::ExecOptions(jobs)};
+            exec::RunResult cold = engine.runOne(req);
+            exec::RunResult warm = engine.runOne(req); // cache hit
+            EXPECT_TRUE(warm.cache_hit);
+            docs.push_back(obs::attrib::toJson(
+                obs::attrib::attributeRun(req, cold.train)));
+            docs.push_back(obs::attrib::toJson(
+                obs::attrib::attributeRun(req, warm.train)));
+        }
+
+        auto dir = std::filesystem::temp_directory_path() /
+                   ("mlpsim_attrib_journal_" + name + "_" +
+                    std::to_string(::getpid()));
+        std::filesystem::remove_all(dir);
+        exec::ExecOptions durable(1);
+        durable.cache_dir = dir.string();
+        exec::Engine{durable}.runOne(req);
+        exec::Engine replay{durable};
+        EXPECT_EQ(replay.stats().journal_loaded, 1u) << name;
+        exec::RunResult journaled = replay.runOne(req);
+        EXPECT_TRUE(journaled.cache_hit) << name;
+        EXPECT_EQ(replay.stats().unique_runs, 0u) << name;
         docs.push_back(obs::attrib::toJson(
-            obs::attrib::attributeRun(req, cold.train)));
-        docs.push_back(obs::attrib::toJson(
-            obs::attrib::attributeRun(req, warm.train)));
+            obs::attrib::attributeRun(req, journaled.train)));
+        std::filesystem::remove_all(dir);
+
+        for (std::size_t i = 1; i < docs.size(); ++i)
+            EXPECT_EQ(docs[0], docs[i]) << name << " doc " << i;
     }
-    for (std::size_t i = 1; i < docs.size(); ++i)
-        EXPECT_EQ(docs[0], docs[i]) << "doc " << i;
+}
+
+// Each collective is priced once, by the trainer: attribution reads
+// the tier split from the result, so neither attributing a pod point
+// nor a warm report schedules an all-reduce.
+TEST(Attribution, PricesNoCollective)
+{
+    sys::SystemConfig pod = sys::withPod(sys::c4140M(), 16, 8);
+    core::Suite suite(pod);
+    for (const auto &[name, gpus] : kPodPoints) {
+        train::RunOptions opts;
+        opts.num_gpus = gpus;
+        double before = schedulesPriced();
+        train::TrainResult r = suite.run(name, opts);
+        double priced = schedulesPriced();
+        EXPECT_EQ(priced, before + 1.0) << name << ": trainer";
+        obs::attrib::attributeRun(pod, suite.registry().find(name)->spec(),
+                                  opts, r);
+        EXPECT_EQ(schedulesPriced(), priced) << name << ": attribution";
+    }
+
+    core::ReportOptions ropts;
+    exec::Engine engine{exec::ExecOptions(2)};
+    core::generateStudyReport(ropts, engine);
+    double cold = schedulesPriced();
+    core::generateStudyReport(ropts, engine);
+    EXPECT_EQ(schedulesPriced(), cold) << "warm report";
 }
 
 TEST(Attribution, KernelAndCollectiveLoopsAttributeTheirOwnShape)
@@ -275,6 +343,16 @@ TEST(Attribution, RejectsResultsThatDontMatchTheRequest)
     opts.num_gpus = 8;
     train::TrainResult r = suite.run("MLPf_Res50_MX", opts);
     const core::Benchmark *b = suite.registry().find("MLPf_Res50_MX");
+    // Another system's or GPU count's result: its carried tier split
+    // would be attributed to the wrong run.
+    EXPECT_THROW(
+        obs::attrib::attributeRun(sys::c4140M(), b->spec(), opts, r),
+        sim::FatalError);
+    train::RunOptions four = opts;
+    four.num_gpus = 4;
+    EXPECT_THROW(obs::attrib::attributeRun(dss, b->spec(), four, r),
+                 sim::FatalError);
+
     r.iter.fwd_s = -1.0; // corrupt: not a trainer output
     EXPECT_THROW(
         obs::attrib::attributeRun(dss, b->spec(), opts, r),

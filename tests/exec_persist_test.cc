@@ -92,6 +92,11 @@ TEST(JournalPersist, PayloadRoundTripIsBitExact)
                           &r2.train.total_seconds, sizeof(double)),
               0);
     EXPECT_EQ(r.train.workload, r2.train.workload);
+    EXPECT_GT(r.train.iter.comm_tier_bytes[0], 0.0);
+    EXPECT_EQ(std::memcmp(r.train.iter.comm_tier_bytes,
+                          r2.train.iter.comm_tier_bytes,
+                          sizeof(r.train.iter.comm_tier_bytes)),
+              0);
     EXPECT_EQ(r.profile.records().size(), r2.profile.records().size());
 
     // A truncated payload must always fail to decode (bit flips are
@@ -231,29 +236,36 @@ TEST(JournalPersist, BitFlippedRecordQuarantinesTail)
 
 TEST(JournalPersist, WrongVersionQuarantinesWholeFile)
 {
-    std::string dir = tempDir("wrong_version");
-    {
+    // A garbage version, and the previous format (whose payloads lack
+    // the per-tier all-reduce bytes).
+    for (std::uint32_t version : {0x7fu, exec::Journal::kVersion - 1}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        std::string dir = tempDir("wrong_version");
+        {
+            exec::Engine engine(durableOpts(dir));
+            engine.runOne(requestFor("MLPf_NCF_Py", 1));
+        }
+
+        std::string path = exec::Journal::journalPath(dir);
+        std::string bytes = slurp(path);
+        ASSERT_GT(bytes.size(), 16u);
+        // Version field, little-endian, after the 8-byte magic.
+        for (int i = 0; i < 4; ++i)
+            bytes[8 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+        dump(path, bytes);
+
         exec::Engine engine(durableOpts(dir));
+        EXPECT_EQ(engine.stats().journal_loaded, 0u);
+        ASSERT_NE(engine.journal(), nullptr);
+        EXPECT_TRUE(engine.journal()->stats().quarantined);
+        // The journal restarts fresh and is writable again.
         engine.runOne(requestFor("MLPf_NCF_Py", 1));
+        EXPECT_EQ(engine.stats().unique_runs, 1u);
+        exec::JournalVerifyReport v = exec::Journal::verify(dir);
+        EXPECT_TRUE(v.header_ok);
+        EXPECT_FALSE(v.corrupt());
+        EXPECT_EQ(v.valid_records, 1u);
     }
-
-    std::string path = exec::Journal::journalPath(dir);
-    std::string bytes = slurp(path);
-    ASSERT_GT(bytes.size(), 16u);
-    bytes[8] = static_cast<char>(0x7f); // version field, little-endian
-    dump(path, bytes);
-
-    exec::Engine engine(durableOpts(dir));
-    EXPECT_EQ(engine.stats().journal_loaded, 0u);
-    ASSERT_NE(engine.journal(), nullptr);
-    EXPECT_TRUE(engine.journal()->stats().quarantined);
-    // The journal restarts fresh and is writable again.
-    engine.runOne(requestFor("MLPf_NCF_Py", 1));
-    EXPECT_EQ(engine.stats().unique_runs, 1u);
-    exec::JournalVerifyReport v = exec::Journal::verify(dir);
-    EXPECT_TRUE(v.header_ok);
-    EXPECT_FALSE(v.corrupt());
-    EXPECT_EQ(v.valid_records, 1u);
 }
 
 TEST(JournalPersist, ConcurrentDoubleOpenDegradesToReadOnly)
