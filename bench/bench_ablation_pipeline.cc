@@ -1,7 +1,7 @@
 /**
  * @file
  * Ablation: the analytic steady-state iteration model (used by the
- * Trainer) against the discrete-event pipeline simulation — across
+ * Trainer) against the batch-level pipeline oracle — across
  * the MLPerf workloads, prefetch depths and stage-time jitter. Backs
  * DESIGN.md's "software-pipelined max of stages" assumption with an
  * executable check and shows where it breaks.
@@ -22,11 +22,11 @@ main()
     sys::SystemConfig dss = sys::dss8440();
     train::Trainer trainer(dss);
 
-    std::printf("Analytic vs discrete-event iteration time "
+    std::printf("Analytic vs pipeline-oracle iteration time "
                 "(%s, 4 GPUs, depth 2, no jitter)\n\n",
                 dss.name.c_str());
     std::printf("%-15s %12s %12s %8s %12s %12s\n", "workload",
-                "analytic ms", "DES ms", "error", "gpu stall s",
+                "analytic ms", "oracle ms", "error", "gpu stall s",
                 "host block s");
     for (const auto &spec : models::mlperfSuite()) {
         train::RunOptions opts;
@@ -37,14 +37,14 @@ main()
         st.host_s = r.iter.host_s;
         st.h2d_s = r.iter.h2d_s;
         st.gpu_s = r.iter.gpu_busy_s + r.iter.overhead_s;
-        auto des = train::simulatePipeline(st, 400);
+        auto oracle = train::simulatePipeline(st, 400);
         std::printf("%-15s %12.2f %12.2f %7.2f%% %12.2f %12.2f\n",
                     spec.abbrev.c_str(), r.iter.iteration_s * 1e3,
-                    des.steady_iteration_s * 1e3,
-                    100.0 * (des.steady_iteration_s -
+                    oracle.steady_iteration_s * 1e3,
+                    100.0 * (oracle.steady_iteration_s -
                              r.iter.iteration_s) /
                         r.iter.iteration_s,
-                    des.gpu_stall_s, des.host_block_s);
+                    oracle.gpu_stall_s, oracle.host_block_s);
     }
 
     // Where the assumption breaks: shallow prefetch and jitter.
@@ -62,9 +62,9 @@ main()
     for (int depth : {1, 2, 3, 4}) {
         train::PipelineStages s = st;
         s.prefetch_depth = depth;
-        auto des = train::simulatePipeline(s, 400);
+        auto oracle = train::simulatePipeline(s, 400);
         std::printf("  depth %d: %7.2f ms (analytic %7.2f)\n", depth,
-                    des.steady_iteration_s * 1e3,
+                    oracle.steady_iteration_s * 1e3,
                     train::analyticIteration(s) * 1e3);
     }
 
@@ -72,11 +72,11 @@ main()
     for (double sigma : {0.0, 0.1, 0.2, 0.4}) {
         train::PipelineStages s = st;
         s.jitter_sigma = sigma;
-        auto des = train::simulatePipeline(s, 1000, 99);
+        auto oracle = train::simulatePipeline(s, 1000, 99);
         std::printf("  sigma %.1f: %7.2f ms (+%4.1f%% over "
                     "deterministic)\n", sigma,
-                    des.steady_iteration_s * 1e3,
-                    100.0 * (des.steady_iteration_s /
+                    oracle.steady_iteration_s * 1e3,
+                    100.0 * (oracle.steady_iteration_s /
                                  train::analyticIteration(s) -
                              1.0));
     }

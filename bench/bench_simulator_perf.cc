@@ -1,9 +1,8 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the simulator's own hot paths:
- * event queue churn, flow-level fair sharing, ring all-reduce
- * evaluation, a full training-run model, PCA, and the exact
- * scheduler. Useful when extending the simulator — these paths run
+ * flow-level fair sharing, ring all-reduce evaluation, a full
+ * training-run model, PCA, and the exact scheduler. Useful when extending the simulator — these paths run
  * thousands of times inside the table/figure benches.
  */
 
@@ -18,7 +17,6 @@
 #include "net/allreduce.h"
 #include "net/transfer.h"
 #include "sched/optimal.h"
-#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "stats/pca.h"
 #include "sys/machines.h"
@@ -26,24 +24,6 @@
 namespace {
 
 using namespace mlps;
-
-void
-BM_EventQueue(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        sim::Simulation simu;
-        long counter = 0;
-        for (int i = 0; i < n; ++i) {
-            simu.schedule((i * 37) % 1000 * sim::kMicrosecond,
-                          [&counter] { ++counter; });
-        }
-        simu.run();
-        benchmark::DoNotOptimize(counter);
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(10000);
 
 void
 BM_FlowSimulator(benchmark::State &state)

@@ -1,12 +1,10 @@
 #include "fault/fault_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <memory>
 #include <sstream>
 
-#include "sim/event_queue.h"
+#include "fault/arrivals.h"
 #include "sim/logger.h"
 
 namespace mlps::fault {
@@ -24,14 +22,6 @@ bool
 isPointEvent(FaultKind kind)
 {
     return kind == FaultKind::Preemption || kind == FaultKind::GpuLoss;
-}
-
-/** Exponential deviate with the given mean. */
-double
-exponential(sim::Rng &rng, double mean)
-{
-    double u = std::max(rng.uniform(), 1e-12);
-    return -mean * std::log(u);
 }
 
 } // namespace
@@ -146,77 +136,46 @@ FaultModel::generate(double horizon_s, int num_gpus) const
         sim::fatal("FaultModel: need at least one GPU (got %d)",
                    num_gpus);
 
-    std::vector<FaultEvent> trace;
     if (config_.allDisabled() || horizon_s == 0.0)
-        return trace;
+        return {};
+    const sim::SimTime horizon =
+        detail::horizonTicks("FaultModel", horizon_s);
 
     // One decorrelated stream per fault class, forked in a fixed
     // order so a class's arrivals never depend on which other classes
     // are enabled.
     sim::Rng root(seed_);
-    sim::Simulation simulation;
-    const sim::SimTime horizon = sim::fromSeconds(horizon_s);
-
-    // The self-rescheduling closures and their per-class streams live
-    // in these pools for the duration of the run. A closure must not
-    // own a shared_ptr to itself (that cycle never frees), so it
-    // captures raw pointers into the pools instead.
-    std::vector<std::unique_ptr<sim::Rng>> streams;
-    std::vector<std::unique_ptr<std::function<void()>>> arrivals;
-
+    detail::TimedTrace<FaultEvent> timed;
     for (FaultKind kind : kAllKinds) {
-        sim::Rng stream = root.fork();
+        sim::Rng rng = root.fork();
         const FaultClassConfig &cls = config_.classFor(kind);
         if (cls.mttf_hours <= 0.0)
             continue;
-        double mttf_s = cls.mttf_hours * 3600.0;
-
-        streams.push_back(std::make_unique<sim::Rng>(stream));
-        sim::Rng *rng = streams.back().get();
-        arrivals.push_back(std::make_unique<std::function<void()>>());
-        std::function<void()> *arrive = arrivals.back().get();
-        *arrive = [&trace, &simulation, rng, arrive, kind, cls, mttf_s,
-                   num_gpus, horizon]() {
-            FaultEvent ev;
-            ev.kind = kind;
-            ev.start_s = sim::toSeconds(simulation.now());
-            if (isPointEvent(kind)) {
-                ev.duration_s = 0.0;
-                ev.severity = 0.0;
-            } else {
-                ev.duration_s = exponential(*rng, cls.mean_duration_s);
-                // Severity jitters around the class mean, clamped to
-                // a meaningful degradation range.
-                ev.severity = std::clamp(
-                    cls.mean_severity * rng->lognormalNoise(0.25),
-                    0.05, 0.98);
-            }
-            bool gpu_scoped = kind == FaultKind::GpuStall ||
-                              kind == FaultKind::EccRetryStorm ||
-                              kind == FaultKind::GpuLoss;
-            ev.resource =
-                gpu_scoped
-                    ? static_cast<int>(rng->below(
-                          static_cast<std::uint64_t>(num_gpus)))
-                    : -1;
-            trace.push_back(ev);
-
-            sim::SimTime gap = sim::fromSeconds(
-                exponential(*rng, mttf_s));
-            if (simulation.now() + gap <= horizon)
-                simulation.schedule(gap, *arrive);
-        };
-        sim::SimTime first = sim::fromSeconds(exponential(*rng, mttf_s));
-        if (first <= horizon)
-            simulation.scheduleAt(first, *arrive);
+        bool gpu_scoped = kind == FaultKind::GpuStall ||
+                          kind == FaultKind::EccRetryStorm ||
+                          kind == FaultKind::GpuLoss;
+        detail::appendArrivals(
+            timed, rng, cls.mttf_hours * 3600.0, horizon, [&] {
+                FaultEvent ev;
+                ev.kind = kind;
+                if (isPointEvent(kind)) {
+                    ev.severity = 0.0;
+                } else {
+                    ev.duration_s =
+                        detail::exponential(rng, cls.mean_duration_s);
+                    // Severity jitters around the class mean, clamped
+                    // to a meaningful degradation range.
+                    ev.severity = std::clamp(
+                        cls.mean_severity * rng.lognormalNoise(0.25),
+                        0.05, 0.98);
+                }
+                if (gpu_scoped)
+                    ev.resource = static_cast<int>(rng.below(
+                        static_cast<std::uint64_t>(num_gpus)));
+                return ev;
+            });
     }
-
-    simulation.runUntil(horizon);
-    std::stable_sort(trace.begin(), trace.end(),
-                     [](const FaultEvent &a, const FaultEvent &b) {
-                         return a.start_s < b.start_s;
-                     });
-    return trace;
+    return detail::byArrival(std::move(timed));
 }
 
 std::string

@@ -7,12 +7,13 @@
  * link flaps, host-pipeline hiccups, ECC retry storms, and outright
  * preemptions — none of which the steady-state Trainer model sees.
  * FaultModel turns per-class MTTF parameters into a deterministic,
- * seed-reproducible event trace using the discrete-event Simulation
- * core: each fault class owns a forked Rng stream, arrivals are
- * exponential with the configured MTTF, and durations/severities are
- * drawn from the class's distribution. The same seed always yields
- * the bit-identical trace, so whole-suite fault studies stay
- * reproducible.
+ * seed-reproducible event trace: each fault class owns a forked Rng
+ * stream and runs its own arrival loop (exponential gaps with the
+ * configured MTTF, in integer SimTime ticks), durations/severities
+ * are drawn from the class's distribution, and the classes' arrivals
+ * are merged by a stable sort on the arrival tick (fault/arrivals.h).
+ * The same seed always yields the bit-identical trace, so whole-suite
+ * fault studies stay reproducible.
  */
 
 #ifndef MLPSIM_FAULT_FAULT_MODEL_H
@@ -122,9 +123,11 @@ class FaultModel
     std::uint64_t seed() const { return seed_; }
 
     /**
-     * Generate the fault trace over [0, horizon_s), sorted by onset.
+     * Generate the fault trace over [0, horizon_s], sorted by onset.
      *
-     * @param horizon_s trace length, seconds.
+     * @param horizon_s trace length, seconds; fatal past the SimTime
+     *        range (sim::kMaxTime, ~2555 h) unless every class is
+     *        disabled.
      * @param num_gpus devices to spread GPU-scoped faults over.
      */
     std::vector<FaultEvent> generate(double horizon_s,

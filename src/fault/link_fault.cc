@@ -1,12 +1,10 @@
 #include "fault/link_fault.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <memory>
 #include <sstream>
 
-#include "sim/event_queue.h"
+#include "fault/arrivals.h"
 #include "sim/logger.h"
 
 namespace mlps::fault {
@@ -35,14 +33,6 @@ scopeOf(LinkFaultKind kind)
       case LinkFaultKind::SpineOversubscribed: return Scope::Fabric;
       default: return Scope::Edge;
     }
-}
-
-/** Exponential deviate with the given mean. */
-double
-exponential(sim::Rng &rng, double mean)
-{
-    double u = std::max(rng.uniform(), 1e-12);
-    return -mean * std::log(u);
 }
 
 /** Edge ids a class can strike, in deterministic (id) order. */
@@ -217,28 +207,19 @@ LinkFaultModel::generate(double horizon_s, const net::Topology &topo) const
     if (topo.nodeCount() == 0)
         sim::fatal("LinkFaultModel: empty topology");
 
-    std::vector<LinkFaultEvent> trace;
     if (config_.allDisabled() || horizon_s == 0.0)
-        return trace;
-
-    std::vector<net::NodeId> gpus = topo.gpus();
+        return {};
+    const sim::SimTime horizon =
+        detail::horizonTicks("LinkFaultModel", horizon_s);
+    const int num_gpus = static_cast<int>(topo.gpus().size());
 
     // One decorrelated stream per class, forked in a fixed order
     // (including disabled classes and classes with no eligible
     // target) so a class's arrivals never depend on its siblings.
     sim::Rng root(seed_);
-    sim::Simulation simulation;
-    const sim::SimTime horizon = sim::fromSeconds(horizon_s);
-
-    // Closures and streams outlive the scheduling loop; a closure
-    // captures raw pointers into these pools (never a handle to
-    // itself — that cycle would leak).
-    std::vector<std::unique_ptr<sim::Rng>> streams;
-    std::vector<std::unique_ptr<std::function<void()>>> arrivals;
-    std::vector<std::unique_ptr<std::vector<int>>> targets;
-
+    detail::TimedTrace<LinkFaultEvent> timed;
     for (LinkFaultKind kind : kAllLinkKinds) {
-        sim::Rng stream = root.fork();
+        sim::Rng rng = root.fork();
         const LinkFaultClassConfig &cls = config_.classFor(kind);
         if (cls.mttf_hours <= 0.0)
             continue;
@@ -248,64 +229,40 @@ LinkFaultModel::generate(double horizon_s, const net::Topology &topo) const
         std::vector<int> pool = scope == Scope::Node
                                     ? eligibleNodes(kind, topo)
                                     : eligibleEdges(kind, topo);
-        if (scope == Scope::Gpu ? gpus.empty() : pool.empty())
+        if (scope == Scope::Gpu ? num_gpus == 0 : pool.empty())
             continue; // nothing to strike on this topology
-        double mttf_s = cls.mttf_hours * 3600.0;
-
-        streams.push_back(std::make_unique<sim::Rng>(stream));
-        sim::Rng *rng = streams.back().get();
-        targets.push_back(std::make_unique<std::vector<int>>(pool));
-        std::vector<int> *eligible = targets.back().get();
-        arrivals.push_back(std::make_unique<std::function<void()>>());
-        std::function<void()> *arrive = arrivals.back().get();
-        int num_gpus = static_cast<int>(gpus.size());
-        *arrive = [&trace, &simulation, rng, arrive, eligible, kind,
-                   cls, mttf_s, num_gpus, scope, horizon]() {
-            LinkFaultEvent ev;
-            ev.kind = kind;
-            ev.start_s = sim::toSeconds(simulation.now());
-            ev.duration_s = exponential(*rng, cls.mean_duration_s);
-            if (isDownKind(kind)) {
-                ev.bandwidth_scale = 0.0;
-            } else {
-                ev.bandwidth_scale = std::clamp(
-                    cls.mean_bandwidth_scale * rng->lognormalNoise(0.25),
-                    0.05, 0.95);
-            }
-            switch (scope) {
-              case Scope::Gpu:
-                ev.gpu = static_cast<int>(rng->below(
-                    static_cast<std::uint64_t>(num_gpus)));
-                break;
-              case Scope::Edge:
-                ev.edge = (*eligible)[rng->below(
-                    static_cast<std::uint64_t>(eligible->size()))];
-                break;
-              case Scope::Node:
-                ev.node = (*eligible)[rng->below(
-                    static_cast<std::uint64_t>(eligible->size()))];
-                break;
-              case Scope::Fabric:
-                break; // hits every cross-rack link at once
-            }
-            trace.push_back(ev);
-
-            sim::SimTime gap =
-                sim::fromSeconds(exponential(*rng, mttf_s));
-            if (simulation.now() + gap <= horizon)
-                simulation.schedule(gap, *arrive);
-        };
-        sim::SimTime first = sim::fromSeconds(exponential(*rng, mttf_s));
-        if (first <= horizon)
-            simulation.scheduleAt(first, *arrive);
+        auto pick = [&](std::uint64_t n) { return rng.below(n); };
+        detail::appendArrivals(
+            timed, rng, cls.mttf_hours * 3600.0, horizon, [&] {
+                LinkFaultEvent ev;
+                ev.kind = kind;
+                ev.duration_s =
+                    detail::exponential(rng, cls.mean_duration_s);
+                if (isDownKind(kind)) {
+                    ev.bandwidth_scale = 0.0;
+                } else {
+                    ev.bandwidth_scale = std::clamp(
+                        cls.mean_bandwidth_scale *
+                            rng.lognormalNoise(0.25),
+                        0.05, 0.95);
+                }
+                switch (scope) {
+                  case Scope::Gpu:
+                    ev.gpu = static_cast<int>(pick(num_gpus));
+                    break;
+                  case Scope::Edge:
+                    ev.edge = pool[pick(pool.size())];
+                    break;
+                  case Scope::Node:
+                    ev.node = pool[pick(pool.size())];
+                    break;
+                  case Scope::Fabric:
+                    break; // hits every cross-rack link at once
+                }
+                return ev;
+            });
     }
-
-    simulation.runUntil(horizon);
-    std::stable_sort(trace.begin(), trace.end(),
-                     [](const LinkFaultEvent &a, const LinkFaultEvent &b) {
-                         return a.start_s < b.start_s;
-                     });
-    return trace;
+    return detail::byArrival(std::move(timed));
 }
 
 double

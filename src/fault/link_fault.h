@@ -11,10 +11,11 @@
  * routing, P2P legality, and collective fabric selection re-answer
  * against the degraded graph.
  *
- * The generator follows the same determinism contract as FaultModel:
- * every class draws from its own forked Rng stream, forked in a
- * fixed order regardless of which classes are enabled, so enabling
- * or re-parameterising link faults never perturbs node-fault traces
+ * The generator follows the same determinism contract as FaultModel
+ * and shares its per-class arrival loop (fault/arrivals.h): every
+ * class draws from its own forked Rng stream, forked in a fixed order
+ * regardless of which classes are enabled, so enabling or
+ * re-parameterising link faults never perturbs node-fault traces
  * (they use a separate model and seed entirely) or sibling link
  * classes.
  */
@@ -164,10 +165,12 @@ class LinkFaultModel
     std::uint64_t seed() const { return seed_; }
 
     /**
-     * Generate the link-fault trace over [0, horizon_s), sorted by
-     * onset. Classes with no eligible target in the topology (e.g.
-     * NvLinkLaneDegrade on an all-PCIe box) emit nothing, but their
-     * stream is still forked — isolation holds regardless.
+     * Generate the link-fault trace over [0, horizon_s], sorted by
+     * onset; fatal past the SimTime range (~2555 h) unless every
+     * class is disabled. Classes with no eligible target in the
+     * topology (e.g. NvLinkLaneDegrade on an all-PCIe box) emit
+     * nothing, but their stream is still forked — isolation holds
+     * regardless.
      */
     std::vector<LinkFaultEvent> generate(double horizon_s,
                                          const net::Topology &topo) const;

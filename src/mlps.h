@@ -10,9 +10,8 @@
 #ifndef MLPSIM_MLPS_H
 #define MLPSIM_MLPS_H
 
-// Simulation kernel
+// Simulation primitives
 #include "sim/counters.h"
-#include "sim/event_queue.h"
 #include "sim/logger.h"
 #include "sim/rng.h"
 #include "sim/time.h"

@@ -13,9 +13,8 @@ fromSeconds(double seconds)
     double ticks = seconds * static_cast<double>(kSecond);
     // Saturate rather than overflow for absurdly long durations
     // (> ~106 days); callers treat this as "effectively forever".
-    double max_ticks = 9.2e18;
-    if (ticks >= max_ticks)
-        return static_cast<SimTime>(max_ticks);
+    if (ticks >= static_cast<double>(kMaxTime))
+        return kMaxTime;
     return static_cast<SimTime>(std::llround(ticks));
 }
 

@@ -32,13 +32,18 @@ inline constexpr SimTime kSecond = 1'000'000'000'000;
 inline constexpr SimTime kMinute = 60 * kSecond;
 /** One hour in ticks. */
 inline constexpr SimTime kHour = 60 * kMinute;
+/**
+ * Longest representable duration (~2555.6 h): fromSeconds saturates
+ * here instead of overflowing.
+ */
+inline constexpr SimTime kMaxTime = 9'200'000'000'000'000'000;
 
 /**
  * Convert a duration in seconds to SimTime ticks, rounding to nearest.
  *
  * Negative durations are clamped to zero: models occasionally produce
  * tiny negative values from floating-point cancellation and a negative
- * delay is never meaningful.
+ * delay is never meaningful. Durations past kMaxTime saturate to it.
  */
 SimTime fromSeconds(double seconds);
 

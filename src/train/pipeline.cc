@@ -3,154 +3,63 @@
 #include <algorithm>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/logger.h"
+#include "sim/rng.h"
+#include "sim/time.h"
 
 namespace mlps::train {
 
-namespace {
-
 using sim::SimTime;
-
-/** Pipeline state machine driven by the event kernel. */
-class PipelineMachine
-{
-  public:
-    PipelineMachine(const PipelineStages &stages, int iterations,
-                    std::uint64_t seed)
-        : stages_(stages), iterations_(iterations), rng_(seed)
-    {
-        if (iterations < 2)
-            sim::fatal("simulatePipeline: need >= 2 iterations");
-        if (stages.prefetch_depth < 1)
-            sim::fatal("simulatePipeline: prefetch depth must be >= 1");
-        if (stages.host_s < 0 || stages.h2d_s < 0 || stages.gpu_s < 0)
-            sim::fatal("simulatePipeline: negative stage time");
-    }
-
-    PipelineResult
-    run()
-    {
-        gpu_done_at_.assign(iterations_, -1);
-        // Kick off the first host batch; each completion schedules
-        // the next stage.
-        startHost(0);
-        simu_.run();
-
-        PipelineResult res;
-        res.makespan_s = sim::toSeconds(simu_.now());
-        res.gpu_stall_s = sim::toSeconds(gpu_stall_);
-        res.host_block_s = sim::toSeconds(host_block_);
-        res.events = simu_.eventsRun();
-        // Steady state: regress out the warm-up using the second half
-        // of the run.
-        int half = iterations_ / 2;
-        SimTime mid = gpu_done_at_[half - 1];
-        SimTime end = gpu_done_at_[iterations_ - 1];
-        res.steady_iteration_s =
-            sim::toSeconds(end - mid) / (iterations_ - half);
-        return res;
-    }
-
-  private:
-    double
-    jitter()
-    {
-        return stages_.jitter_sigma > 0.0
-                   ? rng_.lognormalNoise(stages_.jitter_sigma)
-                   : 1.0;
-    }
-
-    void
-    startHost(int batch)
-    {
-        if (batch >= iterations_)
-            return;
-        // Host may run at most prefetch_depth batches ahead of the
-        // GPU's consumption.
-        if (batch - gpu_started_ >= stages_.prefetch_depth) {
-            host_waiting_batch_ = batch;
-            host_block_from_ = simu_.now();
-            return;
-        }
-        SimTime dur = sim::fromSeconds(stages_.host_s * jitter());
-        simu_.schedule(dur, [this, batch] {
-            ready_for_h2d_.push_back(batch);
-            pumpH2d();
-            startHost(batch + 1);
-        });
-    }
-
-    void
-    pumpH2d()
-    {
-        if (h2d_busy_ || ready_for_h2d_.empty())
-            return;
-        int batch = ready_for_h2d_.front();
-        ready_for_h2d_.erase(ready_for_h2d_.begin());
-        h2d_busy_ = true;
-        SimTime dur = sim::fromSeconds(stages_.h2d_s * jitter());
-        simu_.schedule(dur, [this, batch] {
-            h2d_busy_ = false;
-            ready_for_gpu_.push_back(batch);
-            pumpGpu();
-            pumpH2d();
-        });
-    }
-
-    void
-    pumpGpu()
-    {
-        if (gpu_busy_ || ready_for_gpu_.empty())
-            return;
-        int batch = ready_for_gpu_.front();
-        ready_for_gpu_.erase(ready_for_gpu_.begin());
-        gpu_busy_ = true;
-        if (gpu_idle_since_ >= 0)
-            gpu_stall_ += simu_.now() - gpu_idle_since_;
-        gpu_started_ = batch + 1;
-        // Starting batch N may unblock a host waiting on the queue.
-        if (host_waiting_batch_ >= 0) {
-            int waiting = host_waiting_batch_;
-            host_waiting_batch_ = -1;
-            host_block_ += simu_.now() - host_block_from_;
-            startHost(waiting);
-        }
-        SimTime dur = sim::fromSeconds(stages_.gpu_s * jitter());
-        simu_.schedule(dur, [this, batch] {
-            gpu_busy_ = false;
-            gpu_done_at_[batch] = simu_.now();
-            gpu_idle_since_ = simu_.now();
-            pumpGpu();
-        });
-    }
-
-    PipelineStages stages_;
-    int iterations_;
-    sim::Rng rng_;
-    sim::Simulation simu_;
-
-    std::vector<int> ready_for_h2d_;
-    std::vector<int> ready_for_gpu_;
-    std::vector<SimTime> gpu_done_at_;
-    bool h2d_busy_ = false;
-    bool gpu_busy_ = false;
-    int gpu_started_ = 0;        ///< batches the GPU has begun
-    int host_waiting_batch_ = -1;
-    SimTime host_block_from_ = 0;
-    SimTime gpu_idle_since_ = -1;
-    SimTime gpu_stall_ = 0;
-    SimTime host_block_ = 0;
-};
-
-} // namespace
 
 PipelineResult
 simulatePipeline(const PipelineStages &stages, int iterations,
                  std::uint64_t seed)
 {
-    PipelineMachine machine(stages, iterations, seed);
-    return machine.run();
+    if (iterations < 2)
+        sim::fatal("simulatePipeline: need >= 2 iterations");
+    if (stages.prefetch_depth < 1)
+        sim::fatal("simulatePipeline: prefetch depth must be >= 1");
+    if (stages.host_s < 0 || stages.h2d_s < 0 || stages.gpu_s < 0)
+        sim::fatal("simulatePipeline: negative stage time");
+
+    sim::Rng rng(seed);
+    auto duration = [&](double stage_s) {
+        double jitter = stages.jitter_sigma > 0.0
+                            ? rng.lognormalNoise(stages.jitter_sigma)
+                            : 1.0;
+        return sim::fromSeconds(stage_s * jitter);
+    };
+
+    // Tandem-queue recurrence over batches: each stage serves batches
+    // in order, one at a time, and the host may run at most
+    // prefetch_depth batches ahead of the GPU's consumption.
+    const int depth = stages.prefetch_depth;
+    std::vector<SimTime> gpu_start(iterations), gpu_end(iterations);
+    SimTime host_end = 0, h2d_end = 0, gpu_stall = 0, host_block = 0;
+    for (int b = 0; b < iterations; ++b) {
+        SimTime host_start =
+            b < depth ? host_end : std::max(host_end, gpu_start[b - depth]);
+        host_block += host_start - host_end;
+        host_end = host_start + duration(stages.host_s);
+        SimTime h2d_start = std::max(host_end, h2d_end);
+        h2d_end = h2d_start + duration(stages.h2d_s);
+        gpu_start[b] = b == 0 ? h2d_end : std::max(h2d_end, gpu_end[b - 1]);
+        if (b > 0)
+            gpu_stall += gpu_start[b] - gpu_end[b - 1];
+        gpu_end[b] = gpu_start[b] + duration(stages.gpu_s);
+    }
+
+    PipelineResult res;
+    res.makespan_s = sim::toSeconds(gpu_end.back());
+    res.gpu_stall_s = sim::toSeconds(gpu_stall);
+    res.host_block_s = sim::toSeconds(host_block);
+    // Steady state: regress out the warm-up using the second half of
+    // the run.
+    int half = iterations / 2;
+    res.steady_iteration_s =
+        sim::toSeconds(gpu_end.back() - gpu_end[half - 1]) /
+        (iterations - half);
+    return res;
 }
 
 double

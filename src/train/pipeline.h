@@ -1,22 +1,27 @@
 /**
  * @file
- * Discrete-event simulation of the training input pipeline.
+ * Batch-level oracle for the training input pipeline.
  *
  * The steady-state analytic model (Trainer) assumes a perfectly
  * software-pipelined iteration: time = max(host, h2d, gpu). This
- * module simulates the actual producer/consumer pipeline with
- * bounded prefetch buffers on the event kernel, capturing warm-up
- * transients, buffer stalls, and jittered stage times. It validates
- * the analytic assumption (they agree in steady state) and quantifies
- * when it breaks (shallow prefetch queues, high jitter).
+ * module plays the actual producer/consumer pipeline with a bounded
+ * prefetch queue, batch by batch, as a tandem-queue (max-plus)
+ * recurrence in SimTime ticks:
+ *
+ *   host_start[b] = max(host_end[b-1], gpu_start[b-depth])
+ *   h2d_start[b]  = max(host_end[b], h2d_end[b-1])
+ *   gpu_start[b]  = max(h2d_end[b], gpu_end[b-1])
+ *
+ * It captures warm-up transients, buffer stalls and jittered stage
+ * times. It is test and ablation code, not a production path: it
+ * validates the analytic assumption (they agree in steady state) and
+ * quantifies when it breaks (shallow prefetch queues, high jitter).
  */
 
 #ifndef MLPSIM_TRAIN_PIPELINE_H
 #define MLPSIM_TRAIN_PIPELINE_H
 
 #include <cstdint>
-
-#include "sim/rng.h"
 
 namespace mlps::train {
 
@@ -50,8 +55,6 @@ struct PipelineResult {
     double gpu_stall_s = 0.0;
     /** Time the host spent blocked on a full prefetch queue, s. */
     double host_block_s = 0.0;
-    /** Events executed by the simulation kernel. */
-    std::uint64_t events = 0;
 };
 
 /**
@@ -60,6 +63,7 @@ struct PipelineResult {
  * @param stages stage model.
  * @param iterations batch count (>= 2).
  * @param seed RNG seed for jitter (ignored when jitter_sigma == 0).
+ *        Jitter draws run in batch order: host, h2d, then GPU.
  */
 PipelineResult simulatePipeline(const PipelineStages &stages,
                                 int iterations,

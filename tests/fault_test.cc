@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "core/suite.h"
 #include "fault/fault_model.h"
@@ -131,16 +132,16 @@ TEST(FaultModel, LongerHorizonPreservesPrefix)
             << "event " << i;
 }
 
-TEST(FaultModel, TraceIsSortedAndWellFormed)
+/** Time-ordered, inside the horizon, with class-consistent fields. */
+void
+expectWellFormed(const std::vector<fault::FaultEvent> &trace,
+                 double horizon_s, int num_gpus)
 {
-    fault::FaultModel m(denseProfile(), 5);
-    auto trace = m.generate(72 * 3600.0, 4);
-    ASSERT_FALSE(trace.empty());
     double prev = 0.0;
     for (const auto &ev : trace) {
         EXPECT_GE(ev.start_s, prev);
         prev = ev.start_s;
-        EXPECT_LT(ev.start_s, 72 * 3600.0);
+        EXPECT_LT(ev.start_s, horizon_s);
         if (ev.kind == fault::FaultKind::Preemption ||
             ev.kind == fault::FaultKind::GpuLoss) {
             EXPECT_DOUBLE_EQ(ev.duration_s, 0.0);
@@ -153,13 +154,54 @@ TEST(FaultModel, TraceIsSortedAndWellFormed)
         bool gpu_scoped = ev.kind == fault::FaultKind::GpuStall ||
                           ev.kind == fault::FaultKind::EccRetryStorm ||
                           ev.kind == fault::FaultKind::GpuLoss;
-        if (gpu_scoped)
+        if (gpu_scoped) {
             EXPECT_GE(ev.resource, 0);
-        else
+            EXPECT_LT(ev.resource, num_gpus);
+        } else {
             EXPECT_EQ(ev.resource, -1);
-        if (ev.resource >= 0)
-            EXPECT_LT(ev.resource, 4);
+        }
     }
+}
+
+TEST(FaultModel, TraceIsSortedAndWellFormed)
+{
+    fault::FaultModel m(denseProfile(), 5);
+    auto trace = m.generate(72 * 3600.0, 4);
+    ASSERT_FALSE(trace.empty());
+    expectWellFormed(trace, 72 * 3600.0, 4);
+}
+
+TEST(FaultModel, LongHorizonIsWellFormedAndPrefixStable)
+{
+    // 1500 h is past the point where a saturated gap used to overflow
+    // the arrival clock (the CLI's default profile and seed).
+    fault::FaultModel m(fault::FaultModelConfig::datacenterProfile(24.0),
+                        42);
+    auto long_trace = m.generate(1500 * 3600.0, 8);
+    auto short_trace = m.generate(1000 * 3600.0, 8);
+    ASSERT_FALSE(short_trace.empty());
+    ASSERT_GT(long_trace.size(), short_trace.size());
+    expectWellFormed(long_trace, 1500 * 3600.0, 8);
+    for (std::size_t i = 0; i < short_trace.size(); ++i)
+        EXPECT_TRUE(eventsIdentical(short_trace[i], long_trace[i]))
+            << "event " << i;
+}
+
+TEST(FaultModel, HorizonPastSimTimeRangeIsFatal)
+{
+    fault::FaultModel m(denseProfile(), 1);
+    try {
+        m.generate(3000 * 3600.0, 8);
+        FAIL() << "a 3000 h horizon was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("2555.6 h"),
+                  std::string::npos)
+            << e.what();
+    }
+    // A disabled model has nothing to truncate.
+    EXPECT_TRUE(fault::FaultModel(fault::FaultModelConfig{}, 1)
+                    .generate(3000 * 3600.0, 8)
+                    .empty());
 }
 
 TEST(FaultModel, DisabledConfigYieldsEmptyTrace)
@@ -192,32 +234,62 @@ TEST(FaultModel, AggregateRateMatchesProfile)
 
 // ------------------------------------ link-fault stream isolation
 
-/** Order-sensitive FNV-1a digest of a node-fault trace. */
-std::uint64_t
-traceDigest(const std::vector<fault::FaultEvent> &trace)
-{
-    auto mix = [h = 1469598103934665603ULL](std::uint64_t v) mutable {
+/** Order-sensitive FNV-1a digest over a trace's fields. */
+struct TraceDigest {
+    std::uint64_t h = 1469598103934665603ULL;
+
+    void
+    add(std::uint64_t v)
+    {
         for (int i = 0; i < 8; ++i) {
             h ^= (v >> (8 * i)) & 0xff;
             h *= 1099511628211ULL;
         }
-        return h;
-    };
-    auto bits = [](double d) {
+    }
+    void
+    add(double d)
+    {
         std::uint64_t u;
         std::memcpy(&u, &d, sizeof(u));
-        return u;
-    };
-    std::uint64_t h = 0;
-    for (const auto &ev : trace) {
-        h = mix(static_cast<std::uint64_t>(ev.kind));
-        h = mix(bits(ev.start_s));
-        h = mix(bits(ev.duration_s));
-        h = mix(bits(ev.severity));
-        h = mix(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(ev.resource)));
+        add(u);
     }
-    return h;
+    void
+    add(int v)
+    {
+        add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+    }
+};
+
+/** Digest of a node-fault trace. */
+std::uint64_t
+traceDigest(const std::vector<fault::FaultEvent> &trace)
+{
+    TraceDigest d;
+    for (const auto &ev : trace) {
+        d.add(static_cast<std::uint64_t>(ev.kind));
+        d.add(ev.start_s);
+        d.add(ev.duration_s);
+        d.add(ev.severity);
+        d.add(ev.resource);
+    }
+    return d.h;
+}
+
+/** Digest of a link-fault trace, every target field included. */
+std::uint64_t
+linkTraceDigest(const std::vector<fault::LinkFaultEvent> &trace)
+{
+    TraceDigest d;
+    for (const auto &ev : trace) {
+        d.add(static_cast<std::uint64_t>(ev.kind));
+        d.add(ev.start_s);
+        d.add(ev.duration_s);
+        d.add(ev.bandwidth_scale);
+        d.add(ev.edge);
+        d.add(ev.gpu);
+        d.add(ev.node);
+    }
+    return d.h;
 }
 
 // The golden digest of FaultModel(datacenterProfile(2.0), 123) over
@@ -231,6 +303,39 @@ TEST(LinkFaultIsolation, NodeTraceMatchesGoldenDigest)
     fault::FaultModel m(denseProfile(), 123);
     EXPECT_EQ(traceDigest(m.generate(48 * 3600.0, 8)),
               kGoldenNodeTraceDigest);
+}
+
+// Golden digests of LinkFaultModel(datacenterProfile(1.0), 123) over
+// 48 h, on a single box (the four box-local classes) and on a 4x4 pod
+// of the same box (adding NIC flaps, ToR failures and spine
+// congestion). A failure means a link-fault RNG stream, its draw order
+// or the trace order changed.
+constexpr std::uint64_t kGoldenBoxLinkTraceDigest = 0xeb58847bcfaac93fULL;
+constexpr std::uint64_t kGoldenPodLinkTraceDigest = 0xa551667187adb7fdULL;
+
+TEST(LinkFaultIsolation, LinkTracesMatchGoldenDigests)
+{
+    fault::LinkFaultModel m(fault::LinkFaultConfig::datacenterProfile(1.0),
+                            123);
+    auto box_trace = m.generate(48 * 3600.0, sys::c4140M().topo);
+    EXPECT_EQ(box_trace.size(), 57u);
+    EXPECT_EQ(linkTraceDigest(box_trace), kGoldenBoxLinkTraceDigest);
+
+    sys::SystemConfig pod;
+    std::string error;
+    ASSERT_TRUE(sys::systemFromSpec("pod(C4140 (M),4x4)", &pod, &error))
+        << error;
+    auto pod_trace = m.generate(48 * 3600.0, pod.topo);
+    int per_kind[fault::kNumLinkFaultKinds] = {};
+    for (const auto &ev : pod_trace)
+        ++per_kind[static_cast<int>(ev.kind)];
+    EXPECT_GT(per_kind[static_cast<int>(fault::LinkFaultKind::NicFlap)], 0);
+    EXPECT_GT(per_kind[static_cast<int>(fault::LinkFaultKind::TorDown)], 0);
+    EXPECT_GT(per_kind[static_cast<int>(
+                  fault::LinkFaultKind::SpineOversubscribed)],
+              0);
+    EXPECT_EQ(pod_trace.size(), 84u);
+    EXPECT_EQ(linkTraceDigest(pod_trace), kGoldenPodLinkTraceDigest);
 }
 
 TEST(LinkFaultIsolation, LinkFaultsNeverPerturbNodeTraces)

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "fault/link_fault.h"
 #include "models/zoo.h"
@@ -161,6 +162,48 @@ TEST(LinkFaultModel, TraceIsSortedAndTargetsEligibleHardware)
     constexpr int kBoxLocalKinds = 4;
     for (int k = 0; k < kBoxLocalKinds; ++k)
         EXPECT_TRUE(saw[k]) << "class " << k << " never fired in 96 h";
+}
+
+TEST(LinkFaultModel, LongHorizonIsWellFormedAndPrefixStable)
+{
+    // 1500 h is past the point where a saturated gap used to overflow
+    // the arrival clock. The pod carries all seven classes.
+    sys::SystemConfig pod;
+    std::string error;
+    ASSERT_TRUE(sys::systemFromSpec("pod(C4140 (M),2x2)", &pod, &error))
+        << error;
+    fault::LinkFaultModel m(fault::LinkFaultConfig::datacenterProfile(50.0),
+                            3);
+    auto long_trace = m.generate(1500 * 3600.0, pod.topo);
+    auto short_trace = m.generate(1000 * 3600.0, pod.topo);
+    ASSERT_FALSE(short_trace.empty());
+    ASSERT_GT(long_trace.size(), short_trace.size());
+    double prev = 0.0;
+    for (const auto &ev : long_trace) {
+        EXPECT_GE(ev.start_s, prev);
+        prev = ev.start_s;
+        EXPECT_LT(ev.start_s, 1500 * 3600.0);
+        EXPECT_GT(ev.duration_s, 0.0);
+        EXPECT_LT(ev.edge, pod.topo.edgeCount());
+        EXPECT_LT(ev.node, pod.topo.nodeCount());
+    }
+    for (std::size_t i = 0; i < short_trace.size(); ++i)
+        EXPECT_TRUE(eventsIdentical(short_trace[i], long_trace[i]))
+            << "event " << i;
+}
+
+TEST(LinkFaultModel, HorizonPastSimTimeRangeIsFatal)
+{
+    sys::SystemConfig box = sys::c4140M();
+    fault::LinkFaultModel m(denseLinkProfile(), 1);
+    try {
+        m.generate(3000 * 3600.0, box.topo);
+        FAIL() << "a 3000 h horizon was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("2555.6 h"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(LinkFaultModel, NoEligibleTargetMeansNoEvents)

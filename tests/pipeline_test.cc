@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the discrete-event pipeline simulator, including its
+ * Tests for the batch-level pipeline oracle, including its
  * agreement with the analytic steady-state model the Trainer uses.
  */
 
@@ -69,6 +69,61 @@ TEST(Pipeline, MatchesAnalyticAcrossMixes)
         EXPECT_NEAR(r.steady_iteration_s, analyticIteration(st),
                     analyticIteration(st) * 0.01)
             << s[0] << "/" << s[1] << "/" << s[2];
+    }
+}
+
+TEST(Pipeline, DeterministicOutputsArePinned)
+{
+    // Exact outputs for the stage mixes above at depths 1-4, recorded
+    // from the event-queue simulation the recurrence replaced.
+    // Deterministic stages must reproduce them bit for bit.
+    const double stage_sets[][3] = {
+        {0.1, 0.1, 0.1},   {0.05, 0.2, 0.1}, {0.3, 0.05, 0.1},
+        {0.02, 0.02, 0.5}, {0.15, 0.1, 0.12},
+    };
+    // {makespan_s, steady_iteration_s, gpu_stall_s, host_block_s}
+    const double pinned[][4] = {
+        {40.100000000000001, 0.20000000000000001,
+         19.899999999999999, 19.899999999999999},
+        {20.199999999999999, 0.10000000000000001, 0, 0},
+        {20.199999999999999, 0.10000000000000001, 0, 0},
+        {20.199999999999999, 0.10000000000000001, 0, 0},
+        {50.100000000000001, 0.25, 29.850000000000001, 39.799999999999997},
+        {40.149999999999999, 0.20000000000000001,
+         19.899999999999999, 29.699999999999999},
+        {40.149999999999999, 0.20000000000000001, 19.899999999999999, 29.5},
+        {40.149999999999999, 0.20000000000000001,
+         19.899999999999999, 29.300000000000001},
+        {70.099999999999994, 0.34999999999999998, 49.75, 9.9499999999999993},
+        {60.149999999999999, 0.29999999999999999, 39.799999999999997, 0},
+        {60.149999999999999, 0.29999999999999999, 39.799999999999997, 0},
+        {60.149999999999999, 0.29999999999999999, 39.799999999999997, 0},
+        {100.04000000000001, 0.5, 0, 95.060000000000002},
+        {100.04000000000001, 0.5, 0, 94.560000000000002},
+        {100.04000000000001, 0.5, 0, 94.060000000000002},
+        {100.04000000000001, 0.5, 0, 93.560000000000002},
+        {50.119999999999997, 0.25, 25.870000000000001, 19.899999999999999},
+        {30.219999999999999, 0.14999999999999999, 5.9699999999999998, 0},
+        {30.219999999999999, 0.14999999999999999, 5.9699999999999998, 0},
+        {30.219999999999999, 0.14999999999999999, 5.9699999999999998, 0},
+    };
+    int row = 0;
+    for (const auto &s : stage_sets) {
+        for (int depth = 1; depth <= 4; ++depth, ++row) {
+            PipelineStages st;
+            st.host_s = s[0];
+            st.h2d_s = s[1];
+            st.gpu_s = s[2];
+            st.prefetch_depth = depth;
+            auto r = simulatePipeline(st, 200);
+            SCOPED_TRACE(::testing::Message()
+                         << s[0] << "/" << s[1] << "/" << s[2]
+                         << " depth " << depth);
+            EXPECT_EQ(r.makespan_s, pinned[row][0]);
+            EXPECT_EQ(r.steady_iteration_s, pinned[row][1]);
+            EXPECT_EQ(r.gpu_stall_s, pinned[row][2]);
+            EXPECT_EQ(r.host_block_s, pinned[row][3]);
+        }
     }
 }
 
@@ -141,7 +196,7 @@ TEST(Pipeline, InvalidInputsFatal)
 
 TEST(Pipeline, ValidatesTrainerIterationForRealWorkload)
 {
-    // Feed the Trainer's modeled stage times through the DES: the
+    // Feed the Trainer's modeled stage times through the oracle: the
     // steady-state iteration must match the analytic pipelined max.
     mlps::sys::SystemConfig dss = mlps::sys::dss8440();
     Trainer trainer(dss);
@@ -154,8 +209,8 @@ TEST(Pipeline, ValidatesTrainerIterationForRealWorkload)
     st.host_s = result.iter.host_s;
     st.h2d_s = result.iter.h2d_s;
     st.gpu_s = result.iter.gpu_busy_s + result.iter.overhead_s;
-    auto des = simulatePipeline(st, 300);
-    EXPECT_NEAR(des.steady_iteration_s, result.iter.iteration_s,
+    auto oracle = simulatePipeline(st, 300);
+    EXPECT_NEAR(oracle.steady_iteration_s, result.iter.iteration_s,
                 result.iter.iteration_s * 0.02);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the simulation kernel: time, RNG, event queue,
- * counters, logging.
+ * Unit tests for the simulation primitives: time, RNG, counters,
+ * logging.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
@@ -19,7 +18,6 @@
 #include <unistd.h>
 
 #include "sim/counters.h"
-#include "sim/event_queue.h"
 #include "sim/logger.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -249,118 +247,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RngSeedTest,
                                            0xDEADBEEFull,
                                            0xFFFFFFFFFFFFFFFFull));
 
-// --------------------------------------------------------- event queue
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    Simulation sim;
-    std::vector<int> order;
-    sim.schedule(30 * kMicrosecond, [&] { order.push_back(3); });
-    sim.schedule(10 * kMicrosecond, [&] { order.push_back(1); });
-    sim.schedule(20 * kMicrosecond, [&] { order.push_back(2); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, FifoWithinSameTick)
-{
-    Simulation sim;
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i)
-        sim.schedule(kMicrosecond, [&order, i] { order.push_back(i); });
-    sim.run();
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, ClockAdvances)
-{
-    Simulation sim;
-    SimTime seen = -1;
-    sim.schedule(5 * kMillisecond, [&] { seen = sim.now(); });
-    sim.run();
-    EXPECT_EQ(seen, 5 * kMillisecond);
-    EXPECT_EQ(sim.now(), 5 * kMillisecond);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    Simulation sim;
-    int fired = 0;
-    std::function<void()> chain = [&] {
-        ++fired;
-        if (fired < 5)
-            sim.schedule(kMicrosecond, chain);
-    };
-    sim.schedule(kMicrosecond, chain);
-    sim.run();
-    EXPECT_EQ(fired, 5);
-    EXPECT_EQ(sim.now(), 5 * kMicrosecond);
-}
-
-TEST(EventQueue, CancelPreventsExecution)
-{
-    Simulation sim;
-    bool ran = false;
-    EventId id = sim.schedule(kMicrosecond, [&] { ran = true; });
-    EXPECT_TRUE(sim.cancel(id));
-    sim.run();
-    EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelTwiceFails)
-{
-    Simulation sim;
-    EventId id = sim.schedule(kMicrosecond, [] {});
-    EXPECT_TRUE(sim.cancel(id));
-    EXPECT_FALSE(sim.cancel(id));
-}
-
-TEST(EventQueue, CancelAfterFireFails)
-{
-    Simulation sim;
-    EventId id = sim.schedule(kMicrosecond, [] {});
-    sim.run();
-    EXPECT_FALSE(sim.cancel(id));
-}
-
-TEST(EventQueue, RunUntilStopsAtDeadline)
-{
-    Simulation sim;
-    int fired = 0;
-    sim.schedule(1 * kSecond, [&] { ++fired; });
-    sim.schedule(3 * kSecond, [&] { ++fired; });
-    sim.runUntil(2 * kSecond);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(sim.now(), 2 * kSecond);
-    sim.run();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, NegativeDelayIsFatal)
-{
-    Simulation sim;
-    EXPECT_THROW(sim.schedule(-1, [] {}), FatalError);
-}
-
-TEST(EventQueue, ScheduleAtPastIsFatal)
-{
-    Simulation sim;
-    sim.schedule(kSecond, [] {});
-    sim.run();
-    EXPECT_THROW(sim.scheduleAt(kMillisecond, [] {}), FatalError);
-}
-
-TEST(EventQueue, EventsRunCounter)
-{
-    Simulation sim;
-    for (int i = 0; i < 7; ++i)
-        sim.schedule(i * kMicrosecond, [] {});
-    sim.run();
-    EXPECT_EQ(sim.eventsRun(), 7u);
-    EXPECT_TRUE(sim.idle());
-}
-
 // ------------------------------------------------------------ counters
 
 TEST(Counter, AccumulatesTotals)
@@ -478,78 +364,6 @@ TEST(TimeWeightedAverage, BeforeStartIsZero)
 {
     TimeWeightedAverage twa;
     EXPECT_DOUBLE_EQ(twa.average(kSecond), 0.0);
-}
-
-// ------------------------------------------- event queue compaction
-
-TEST(EventQueueCompaction, MillionEventsBoundedStorage)
-{
-    // Schedule/fire one million events in a rolling window; without
-    // pool compaction the dead entries would pile up to a million.
-    EventQueue q;
-    std::size_t max_storage = 0;
-    long long fired = 0;
-    SimTime t = 0;
-    constexpr int kBatch = 1000;
-    for (int round = 0; round < 1000; ++round) {
-        for (int i = 0; i < kBatch; ++i)
-            q.schedule(t + i, [&fired] { ++fired; });
-        SimTime now = 0;
-        for (int i = 0; i < kBatch; ++i)
-            ASSERT_TRUE(q.runOne(now));
-        t = now + 1;
-        max_storage = std::max(max_storage, q.storageSize());
-    }
-    EXPECT_EQ(fired, 1000LL * kBatch);
-    EXPECT_TRUE(q.empty());
-    // Live events never exceed kBatch; the pool must stay within a
-    // small constant factor of that, not grow with total throughput.
-    EXPECT_LT(max_storage, 10000u);
-    EXPECT_LT(q.storageSize(), 10000u);
-}
-
-TEST(EventQueueCompaction, CancelledEntriesAreReclaimed)
-{
-    EventQueue q;
-    for (int round = 0; round < 100; ++round) {
-        std::vector<EventId> ids;
-        for (int i = 0; i < 2000; ++i)
-            ids.push_back(q.schedule(1000000 + i, [] {}));
-        for (EventId id : ids)
-            EXPECT_TRUE(q.cancel(id));
-        // Scheduling after mass cancellation triggers the compaction
-        // path; the pool must not retain the cancelled entries.
-        q.schedule(1, [] {});
-        SimTime now = 0;
-        EXPECT_TRUE(q.runOne(now));
-        EXPECT_EQ(now, 1);
-    }
-    EXPECT_LT(q.storageSize(), 10000u);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueCompaction, CompactionPreservesOrderAndPayloads)
-{
-    // Interleave cancellations with live events across the compaction
-    // threshold and verify every surviving event fires in time order.
-    EventQueue q;
-    std::vector<int> fired;
-    std::vector<EventId> doomed;
-    for (int i = 0; i < 3000; ++i) {
-        int when = 10 + i;
-        if (i % 2 == 0) {
-            q.schedule(when, [&fired, when] { fired.push_back(when); });
-        } else {
-            doomed.push_back(q.schedule(when, [] { FAIL(); }));
-        }
-    }
-    for (EventId id : doomed)
-        EXPECT_TRUE(q.cancel(id));
-    SimTime now = 0;
-    while (q.runOne(now)) {
-    }
-    ASSERT_EQ(fired.size(), 1500u);
-    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
 // ------------------------------------------------------------- logger
